@@ -4,7 +4,9 @@ Datasets live in independent sources (local directories, or HTTP roots
 following the ``<root>/<dataset>/<sensor>.csv`` convention) but are looked
 up, searched and resolved through this single catalog. State persists as
 one JSON document per dataset under ``<state_dir>/catalog/`` plus an
-append-only change-event log at ``<state_dir>/events.log``.
+append-only change-event log at ``<state_dir>/events.log``. Column types
+and statistics are computed once, when a dataset is registered, and stored
+in that document; a restart or crawl reads them back and only parses CSV.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ from .errors import (
 )
 from .pid_grammar import NAME_RE
 from .timeseries_store import Dataset, SensorTable
+
+
+# Seconds a remote fetch may block on connect or read.
+FETCH_TIMEOUT_S = 30
 
 
 def _now() -> str:
@@ -96,6 +102,29 @@ class CatalogEntry:
             "updated_at": self.updated_at,
         }
 
+    @classmethod
+    def from_document(cls, doc: dict) -> "CatalogEntry":
+        """The entry whose ``document()`` is ``doc``."""
+        return cls(
+            dataset=doc["dataset"],
+            source_id=doc["source_id"],
+            data_dir=doc["data_dir"],
+            sensors=doc["sensors"],
+            metadata=DatasetMetadata(
+                core=doc["core"],
+                domain_environmental=doc["domain"]["environmental"],
+                domain_object_class=doc["domain"]["object_class"],
+                domain_object_format=doc["domain"]["object_format"],
+                relation=doc["relation"],
+                model=doc["model"],
+                dictionary=[tuple(p) for p in doc["dictionary"]],
+                schema_name=doc["schema_name"],
+            ),
+            content_hash=doc["content_hash"],
+            registered_at=doc["registered_at"],
+            updated_at=doc["updated_at"],
+        )
+
 
 @dataclass(frozen=True)
 class ChangeEvent:
@@ -115,22 +144,31 @@ def content_hash(csv_paths: list[Path]) -> str:
     return h.hexdigest()
 
 
-def _column_schema(name: str, cells, desc, is_key: bool = False) -> dict:
-    doc = {"name": name, "basic": desc.basic, "derived": desc.derived}
-    numeric = type_registry.numeric_values(cells)
-    if numeric and not is_key:
-        doc["properties"] = type_registry.compute_properties(numeric).as_dict()
+def _key_schema(name: str, key: tuple[int, ...]) -> dict:
+    """What ``infer_column_type(..., is_key=True)`` gives for the key's
+    text, read off the sorted int keys; keys get no statistics."""
+    if not key:
+        basic, derived = "text", "varchar"
+    elif key[0] >= type_registry.EPOCH_THRESHOLD:
+        basic, derived = "date/time", "timestamp"
     else:
-        doc["properties"] = None
-    return doc
+        basic, derived = "number", "integer"
+    return {"name": name, "basic": basic, "derived": derived, "properties": None}
+
+
+def _column_schema(name: str, cells) -> dict:
+    desc = type_registry.infer_column_type(cells)
+    numeric = type_registry.numeric_values(cells)
+    properties = (
+        type_registry.compute_properties(numeric).as_dict() if numeric else None
+    )
+    return {"name": name, "basic": desc.basic, "derived": desc.derived,
+            "properties": properties}
 
 
 def _sensor_schema(table: SensorTable, file_name: str) -> dict:
-    key_cells = tuple(str(k) for k in table.key)
-    key_desc = type_registry.infer_column_type(key_cells, is_key=True)
-    columns = [_column_schema(table.key_column_name, key_cells, key_desc, True)]
-    for name, cells, desc in table.columns:
-        columns.append(_column_schema(name, cells, desc))
+    columns = [_key_schema(table.key_column_name, table.key)]
+    columns += [_column_schema(name, cells) for name, cells, _ in table.columns]
     return {"name": table.sensor_name, "file": file_name, "columns": columns}
 
 
@@ -165,26 +203,7 @@ class Catalog:
     def _restore(self) -> None:
         for path in sorted(self.entries_dir.glob("*.json")):
             doc = json.loads(path.read_text(encoding="utf-8"))
-            meta = DatasetMetadata(
-                core=doc["core"],
-                domain_environmental=doc["domain"]["environmental"],
-                domain_object_class=doc["domain"]["object_class"],
-                domain_object_format=doc["domain"]["object_format"],
-                relation=doc["relation"],
-                model=doc["model"],
-                dictionary=[tuple(p) for p in doc["dictionary"]],
-                schema_name=doc["schema_name"],
-            )
-            entry = CatalogEntry(
-                dataset=doc["dataset"],
-                source_id=doc["source_id"],
-                data_dir=doc["data_dir"],
-                sensors=doc["sensors"],
-                metadata=meta,
-                content_hash=doc["content_hash"],
-                registered_at=doc["registered_at"],
-                updated_at=doc["updated_at"],
-            )
+            entry = CatalogEntry.from_document(doc)
             self.entries[entry.dataset] = entry
             try:
                 self.datasets[entry.dataset] = self._load_tables(entry)
@@ -219,15 +238,19 @@ class Catalog:
     def _fetch_remote(
         self, source: DataSource, dataset: str, sensor_files: list[str]
     ) -> Path:
-        dest = self.cache_dir / source.id / dataset
-        dest.mkdir(parents=True, exist_ok=True)
+        fetched = {}
         for fname in sensor_files:
             url = f"{source.root.rstrip('/')}/{dataset}/{fname}"
             try:
-                with urllib.request.urlopen(url) as resp:
-                    data = resp.read()
+                with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as resp:
+                    fetched[fname] = resp.read()
             except OSError as exc:
                 raise IoError(f"fetch failed for {url}: {exc}") from exc
+        # Write only once every file arrived, so a failed fetch leaves the
+        # cached copy as it was.
+        dest = self.cache_dir / source.id / dataset
+        dest.mkdir(parents=True, exist_ok=True)
+        for fname, data in fetched.items():
             (dest / fname).write_bytes(data)
         return dest
 
@@ -330,7 +353,8 @@ class Catalog:
         ones become unresolvable; new dataset directories under a local
         source root are auto-registered with empty descriptive metadata.
         Every event is appended to the persistent event log. Per-source
-        failures become ``source_error`` events instead of aborting.
+        failures, a remote source that cannot be reached among them, become
+        ``source_error`` events instead of aborting; the entry is kept.
         """
         events: list[ChangeEvent] = []
 
@@ -339,17 +363,12 @@ class Catalog:
             source = self.sources.get(entry.source_id)
             try:
                 if source is not None and source.kind == "remote_http":
-                    try:
-                        self._fetch_remote(
-                            source, name, [s["file"] for s in entry.sensors]
-                        )
-                    except IoError:
-                        self._remove(entry, events)
-                        continue
-                files = sorted(
-                    p for p in Path(entry.data_dir).glob("*.csv") if p.is_file()
-                )
-                if not files:
+                    self._fetch_remote(
+                        source, name, [s["file"] for s in entry.sensors]
+                    )
+                try:
+                    files = self._csv_files(Path(entry.data_dir))
+                except LoadError:
                     self._remove(entry, events)
                     continue
                 new_hash = content_hash(files)
@@ -371,7 +390,7 @@ class Catalog:
                             old_hash=old_hash, new_hash=new_hash,
                         )
                     )
-            except ArksliceError as exc:
+            except ArksliceError:
                 events.append(
                     ChangeEvent(
                         "source_error", name, entry.source_id, _now(),

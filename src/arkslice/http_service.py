@@ -8,6 +8,7 @@ and only ``%XX`` escapes are percent-decoded before parsing.
 from __future__ import annotations
 
 import json
+import logging
 import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -32,6 +33,8 @@ from .timeseries_store import render_csv
 
 _BAD_REQUEST = (MalformedPid, InvalidRange, DuplicateName, BadNaan, InvalidTarget)
 _NOT_FOUND = (UnknownNaan, NotFound, UnknownSensor, UnknownMeasurement)
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -117,25 +120,38 @@ class ResolverHandler(BaseHTTPRequestHandler):
         raw, _, query = self.path.partition("?")
         return unquote(raw), query
 
-    def do_GET(self):
+    def _respond(self, route) -> None:
+        """Run ``route(path, query)``; every failure becomes a status line."""
         path, query = self._split_target()
         try:
-            if path == "/health":
-                self._send(200, "text/plain; charset=utf-8", b"ok\n")
-            elif path == "/catalog":
-                q = parse_qs(query).get("q", [""])[0]
-                self._send(200, "application/json; charset=utf-8",
-                           _json_bytes(self.app.catalog.search(q)))
-            elif path.startswith("/ark:/"):
-                self._resolve_ark(path, query)
-            else:
-                self._error(404, "unknown path")
+            route(path, query)
         except _BAD_REQUEST as exc:
             self._error(400, str(exc))
         except _NOT_FOUND as exc:
             self._error(404, str(exc))
         except ArksliceError as exc:
             self._error(500, str(exc))
+        except Exception:
+            _log.exception("error serving %s %s", self.command, self.path)
+            self._error(500, "internal error")
+
+    def do_GET(self):
+        self._respond(self._get)
+
+    def do_POST(self):
+        self._respond(self._post)
+
+    def _get(self, path: str, query: str):
+        if path == "/health":
+            self._send(200, "text/plain; charset=utf-8", b"ok\n")
+        elif path == "/catalog":
+            q = parse_qs(query).get("q", [""])[0]
+            self._send(200, "application/json; charset=utf-8",
+                       _json_bytes(self.app.catalog.search(q)))
+        elif path.startswith("/ark:/"):
+            self._resolve_ark(path, query)
+        else:
+            self._error(404, "unknown path")
 
     def _resolve_ark(self, path: str, query: str):
         remainder = path[len("/ark:/"):]
@@ -155,7 +171,13 @@ class ResolverHandler(BaseHTTPRequestHandler):
                        render_csv(result.slice).encode("utf-8"))
 
     def _read_json_body(self) -> dict:
-        length = int(self.headers.get("Content-Length", "0"))
+        declared = self.headers.get("Content-Length", "0")
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise InvalidTarget(f"bad Content-Length {declared!r}")
         raw = self.rfile.read(length)
         try:
             doc = json.loads(raw) if raw else {}
@@ -165,46 +187,38 @@ class ResolverHandler(BaseHTTPRequestHandler):
             raise InvalidTarget("request body must be a JSON object")
         return doc
 
-    def do_POST(self):
-        path, _ = self._split_target()
-        try:
-            if path == "/mint":
-                doc = self._read_json_body()
-                target = doc.get("target")
-                if not isinstance(target, str):
-                    raise InvalidTarget("missing string field 'target'")
-                binding = self.app.minter.mint(target)
-                naan = self.app.resolver.primary_naan
-                payload = {
-                    "noid": binding.noid,
-                    "ark": f"ark:/{naan}/{binding.noid}",
-                    "url": f"{self.app.config.base_url}/ark:/{naan}/{binding.noid}",
+    def _post(self, path: str, query: str):
+        if path == "/mint":
+            doc = self._read_json_body()
+            target = doc.get("target")
+            if not isinstance(target, str):
+                raise InvalidTarget("missing string field 'target'")
+            binding = self.app.minter.mint(target)
+            naan = self.app.resolver.primary_naan
+            payload = {
+                "noid": binding.noid,
+                "ark": f"ark:/{naan}/{binding.noid}",
+                "url": f"{self.app.config.base_url}/ark:/{naan}/{binding.noid}",
+            }
+            self._send(201, "application/json; charset=utf-8",
+                       _json_bytes(payload))
+        elif path == "/crawl":
+            events = self.app.catalog.crawl()
+            payload = [
+                {
+                    "kind": e.kind,
+                    "dataset": e.dataset,
+                    "source_id": e.source_id,
+                    "observed_at": e.observed_at,
+                    "old_hash": e.old_hash,
+                    "new_hash": e.new_hash,
                 }
-                self._send(201, "application/json; charset=utf-8",
-                           _json_bytes(payload))
-            elif path == "/crawl":
-                events = self.app.catalog.crawl()
-                payload = [
-                    {
-                        "kind": e.kind,
-                        "dataset": e.dataset,
-                        "source_id": e.source_id,
-                        "observed_at": e.observed_at,
-                        "old_hash": e.old_hash,
-                        "new_hash": e.new_hash,
-                    }
-                    for e in events
-                ]
-                self._send(200, "application/json; charset=utf-8",
-                           _json_bytes(payload))
-            else:
-                self._error(404, "unknown path")
-        except _BAD_REQUEST as exc:
-            self._error(400, str(exc))
-        except _NOT_FOUND as exc:
-            self._error(404, str(exc))
-        except ArksliceError as exc:
-            self._error(500, str(exc))
+                for e in events
+            ]
+            self._send(200, "application/json; charset=utf-8",
+                       _json_bytes(payload))
+        else:
+            self._error(404, "unknown path")
 
 
 def make_server(app: App) -> ThreadingHTTPServer:

@@ -2,7 +2,8 @@
 
 NOIDs are a monotone counter rendered in the betanumeric alphabet (no
 vowels, so no accidental words), left-padded to width 4, and never reused:
-the mint log is replayed at startup to restore the counter and bindings.
+one lock covers counter, log append and bindings, and the mint log is
+replayed at startup to restore the counter and bindings.
 Minted NOIDs contain no '.', semantic PID bodies always do, so the two
 namespaces cannot collide.
 """
@@ -10,7 +11,9 @@ namespaces cannot collide.
 from __future__ import annotations
 
 import json
+import os
 import re
+import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -92,14 +95,43 @@ class Minter:
         self.log_path = Path(log_path)
         self.bindings: dict[str, MintBinding] = {}
         self._counter = 0
+        self._lock = threading.Lock()
         if self.log_path.exists():
-            for line in self.log_path.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
+            self._replay(self.log_path.read_bytes())
+
+    def _replay(self, raw: bytes) -> None:
+        """Restore counter and bindings from the log's bytes.
+
+        A last record that does not decode was torn by a crash mid-append,
+        so its NOID was never handed out: it is cut from the log. The log is
+        left ending in a newline, so the next append starts a fresh line. A
+        corrupt record anywhere else raises ``PersistenceError``.
+        """
+        records = [line for line in raw.split(b"\n") if line.strip()]
+        for i, line in enumerate(records):
+            try:
                 rec = json.loads(line)
                 binding = MintBinding(rec["noid"], rec["target"], rec["created_at"])
-                self.bindings[binding.noid] = binding  # latest entry wins
-                self._counter = max(self._counter, decode_noid(binding.noid) + 1)
+                counter = decode_noid(binding.noid) + 1
+            except (ValueError, KeyError, TypeError) as exc:
+                if i < len(records) - 1:
+                    raise PersistenceError(
+                        f"{self.log_path}: corrupt record {i + 1}: {exc}"
+                    ) from exc
+                self._rewrite(raw[:raw.rindex(line)])
+                return
+            self.bindings[binding.noid] = binding  # latest entry wins
+            self._counter = max(self._counter, counter)
+        if raw and not raw.endswith(b"\n"):
+            self._rewrite(raw + b"\n")
+
+    def _rewrite(self, raw: bytes) -> None:
+        tmp = self.log_path.with_name(self.log_path.name + ".tmp")
+        try:
+            tmp.write_bytes(raw)
+            os.replace(tmp, self.log_path)
+        except OSError as exc:
+            raise PersistenceError(f"cannot repair mint log: {exc}") from exc
 
     def _validate_target(self, target: str) -> None:
         if not target or not isinstance(target, str):
@@ -131,14 +163,15 @@ class Minter:
     def mint(self, target: str) -> MintBinding:
         """Bind a fresh NOID to a target URL or semantic PID."""
         self._validate_target(target)
-        binding = MintBinding(
-            noid=encode_noid(self._counter),
-            target=target,
-            created_at=datetime.now(timezone.utc).isoformat(),
-        )
-        self._append(binding)
-        self._counter += 1
-        self.bindings[binding.noid] = binding
+        with self._lock:
+            binding = MintBinding(
+                noid=encode_noid(self._counter),
+                target=target,
+                created_at=datetime.now(timezone.utc).isoformat(),
+            )
+            self._append(binding)
+            self._counter += 1
+            self.bindings[binding.noid] = binding
         return binding
 
     def rebind(self, noid: str, target: str) -> MintBinding:
@@ -146,13 +179,14 @@ class Minter:
         if noid not in self.bindings:
             raise NotFound(f"NOID {noid!r} was never minted")
         self._validate_target(target)
-        binding = MintBinding(
-            noid=noid,
-            target=target,
-            created_at=datetime.now(timezone.utc).isoformat(),
-        )
-        self._append(binding)
-        self.bindings[noid] = binding
+        with self._lock:
+            binding = MintBinding(
+                noid=noid,
+                target=target,
+                created_at=datetime.now(timezone.utc).isoformat(),
+            )
+            self._append(binding)
+            self.bindings[noid] = binding
         return binding
 
     def binding(self, noid: str) -> Optional[MintBinding]:

@@ -2,7 +2,9 @@
 
 Cells are kept as the original lexical strings from the source CSV so that
 output bytes can match input bytes exactly; no numeric reformatting ever
-happens. Tables are immutable after load.
+happens. Tables are immutable after load. Loading only parses and
+transposes: it never types a column (the catalog does that once, at
+register time, and persists the result).
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import type_registry
 from .errors import (
     DuplicateTimestamp,
     EmptyFile,
@@ -30,8 +31,9 @@ class SensorTable:
 
     sensor_name: str
     key: tuple[int, ...]
-    # (measurement name, lexical cells, inferred type) per column.
-    columns: tuple[tuple[str, tuple[str, ...], TypeDescriptor], ...]
+    # (measurement name, lexical cells, type) per column; the type slot is
+    # None from load_sensor_csv, which never types.
+    columns: tuple[tuple[str, tuple[str, ...], Optional[TypeDescriptor]], ...]
     key_column_name: str = "timestamp"
 
     @property
@@ -119,14 +121,14 @@ def load_sensor_csv(path, sensor_name: str) -> SensorTable:
             raise DuplicateTimestamp(f"{path}: timestamp {a} appears twice")
 
     key = tuple(ts for ts, _ in rows)
-    columns = []
-    for i, name in enumerate(header[1:]):
-        cells = tuple(fields[i] for _, fields in rows)
-        columns.append((name, cells, type_registry.infer_column_type(cells)))
+    # One transposing pass over the rows.
+    cells = list(zip(*(fields for _, fields in rows))) or [()] * (width - 1)
     return SensorTable(
         sensor_name=sensor_name,
         key=key,
-        columns=tuple(columns),
+        columns=tuple(
+            (name, column, None) for name, column in zip(header[1:], cells)
+        ),
         key_column_name=header[0],
     )
 

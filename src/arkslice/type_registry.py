@@ -2,6 +2,11 @@
 
 Type inference maps a column of lexical cells to a (basic, derived) type
 pair; the derived-to-basic mapping is fixed in ``BASIC_OF_DERIVED``.
+It works over the column's distinct values: each is matched once against
+one number pattern whose groups tell integer, real and scientific apart,
+and the other types are tried only when some value is not a plain number.
+The catalog types each column once, when a dataset is registered; loading
+a table never types it.
 Statistics are pinned to one definition each so that catalog metadata is
 byte-stable: sample stddev (n-1), quantiles by linear interpolation at
 ``p*(n-1)``, skewness as the population-moment estimator ``m3 / m2^1.5``.
@@ -53,9 +58,14 @@ BASIC_OF_DERIVED = {
     "lookup": "pointer",
 }
 
-_INT_RE = re.compile(r"^[+-]?[0-9]+$")
 _REAL_RE = re.compile(r"^[+-]?([0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)$")
-_SCI_RE = re.compile(r"^[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)[eE][+-]?[0-9]+$")
+# A plain number; the group that matched (``lastindex``) names its kind.
+_NUMBER_RE = re.compile(
+    r"^[+-]?(?:([0-9]+)"
+    r"|([0-9]+\.[0-9]*|\.[0-9]+)"
+    r"|((?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][+-]?[0-9]+))$"
+)
+_INT, _REAL, _SCI = 1, 2, 3
 _PCT_RE = re.compile(r"^[+-]?[0-9]+(\.[0-9]+)?%$")
 _CURRENCY_SYMBOLS = {"$": "$", "€": "Euro", "¥": "Yen"}
 
@@ -98,7 +108,7 @@ class CorrelationMatrix:
     values: tuple[tuple[Optional[float], ...], ...]
 
 
-def _boolean_derived(cells: list[str]) -> Optional[str]:
+def _boolean_derived(cells: set[str]) -> Optional[str]:
     lowered = {c.lower() for c in cells}
     for pair, name in (
         ({"yes", "no"}, "yes/no"),
@@ -110,7 +120,7 @@ def _boolean_derived(cells: list[str]) -> Optional[str]:
     return None
 
 
-def _currency_derived(cells: list[str]) -> Optional[str]:
+def _currency_derived(cells: set[str]) -> Optional[str]:
     names = set()
     for c in cells:
         if len(c) < 2 or c[0] not in _CURRENCY_SYMBOLS:
@@ -121,6 +131,15 @@ def _currency_derived(cells: list[str]) -> Optional[str]:
     return names.pop() if len(names) == 1 else "$"
 
 
+def _number_kinds(values: set[str]) -> Optional[set[int]]:
+    """The kinds (``_INT``/``_REAL``/``_SCI``) among ``values``, or None
+    when some value is not a plain number."""
+    matches = list(map(_NUMBER_RE.match, values))
+    if None in matches:
+        return None
+    return {m.lastindex for m in matches}
+
+
 def infer_column_type(cells: Sequence[str], is_key: bool = False) -> TypeDescriptor:
     """Infer the most specific derived type shared by every nonempty cell.
 
@@ -128,29 +147,32 @@ def infer_column_type(cells: Sequence[str], is_key: bool = False) -> TypeDescrip
     epoch-timestamp (key column only), hyperlink, then text/varchar as the
     fallback. Order-insensitive: only the set of cell contents matters.
     """
-    nonempty = [c for c in cells if c != ""]
-    if not nonempty:
+    values = set(cells)
+    values.discard("")
+    if not values:
         return TypeDescriptor("text", "varchar")
 
-    derived = _boolean_derived(nonempty)
+    # No boolean word is a number, so testing numbers first keeps the
+    # precedence.
+    kinds = _number_kinds(values)
+    if kinds is not None:
+        if kinds == {_INT}:
+            if is_key and all(int(c) >= EPOCH_THRESHOLD for c in values):
+                return TypeDescriptor("date/time", "timestamp")
+            return TypeDescriptor("number", "integer")
+        if _SCI in kinds:
+            return TypeDescriptor("number", "scientific")
+        return TypeDescriptor("number", "real")
+
+    derived = _boolean_derived(values)
     if derived is not None:
         return TypeDescriptor("boolean", derived)
-    if all(_INT_RE.match(c) for c in nonempty):
-        if is_key and all(int(c) >= EPOCH_THRESHOLD for c in nonempty):
-            return TypeDescriptor("date/time", "timestamp")
-        return TypeDescriptor("number", "integer")
-    if all(_SCI_RE.match(c) or _REAL_RE.match(c) for c in nonempty) and any(
-        _SCI_RE.match(c) for c in nonempty
-    ):
-        return TypeDescriptor("number", "scientific")
-    if all(_REAL_RE.match(c) for c in nonempty):
-        return TypeDescriptor("number", "real")
-    if all(_PCT_RE.match(c) for c in nonempty):
+    if all(_PCT_RE.match(c) for c in values):
         return TypeDescriptor("number", "percentage")
-    derived = _currency_derived(nonempty)
+    derived = _currency_derived(values)
     if derived is not None:
         return TypeDescriptor("currency", derived)
-    if all(c.startswith(("http://", "https://")) for c in nonempty):
+    if all(c.startswith(("http://", "https://")) for c in values):
         return TypeDescriptor("pointer", "hyperlink")
     return TypeDescriptor("text", "varchar")
 
@@ -207,12 +229,13 @@ def compute_properties(values: Sequence[float]) -> BasicProperties:
 
 
 def numeric_values(cells: Sequence[str]) -> list[float]:
-    """Cells that parse as plain decimal/scientific numbers, as floats."""
-    out = []
-    for c in cells:
-        if c and (_REAL_RE.match(c) or _SCI_RE.match(c)):
-            out.append(float(c))
-    return out
+    """Cells that parse as plain decimal/scientific numbers, as floats.
+
+    Each distinct value is matched and parsed once; the floats come back
+    in cell order.
+    """
+    parsed = {c: float(c) for c in set(cells) if _NUMBER_RE.match(c)}
+    return [v for v in map(parsed.get, cells) if v is not None]
 
 
 def compute_correlation(table) -> CorrelationMatrix:
@@ -225,7 +248,7 @@ def compute_correlation(table) -> CorrelationMatrix:
     cols: list[tuple[str, list[Optional[float]]]] = []
     for name, cells, _desc in table.columns:
         parsed = [
-            float(c) if c and (_REAL_RE.match(c) or _SCI_RE.match(c)) else None
+            float(c) if _NUMBER_RE.match(c) else None
             for c in cells
         ]
         if any(v is not None for v in parsed):

@@ -1,15 +1,65 @@
 import functools
 import http.server
 import json
+import random
 import shutil
 import threading
+from pathlib import Path
 
 import pytest
 
-from arkslice.catalog import Catalog, DataSource, DatasetMetadata, content_hash
+from arkslice.catalog import (
+    Catalog,
+    CatalogEntry,
+    DataSource,
+    DatasetMetadata,
+    content_hash,
+)
 from arkslice.errors import DuplicateDataset, LoadError, NotFound
 
 from conftest import DATASET, FIXTURE_METADATA, write_fixture
+
+GOLDEN_SENSORS = Path(__file__).parent / "data" / "catalog_sensors_golden.json"
+
+
+def write_mixed_fixture(data_root: Path, dataset: str = "Mixed-ds") -> Path:
+    """A dataset whose columns cover every derived type the inferrer emits."""
+    ds_dir = data_root / dataset
+    ds_dir.mkdir(parents=True, exist_ok=True)
+    rng = random.Random(dataset)
+
+    # Epoch keys written out of order; ints with signs, scientific with
+    # gaps and plain reals mixed in, reals in every lexical form.
+    keys = [1333238400 + 60 * i for i in range(120)]
+    rng.shuffle(keys)
+    lines = ["time,P,Q,R,N"]
+    for i, k in enumerate(keys):
+        p = rng.choice(["+", "-", ""]) + str(rng.randint(0, 500))
+        q = "" if i % 7 == 0 else (
+            f"{rng.uniform(-1e5, 1e5):.3e}" if i % 3 else f"{rng.uniform(0, 9):.2f}")
+        r = rng.choice([f"{rng.uniform(-50, 50):.3f}", f".{rng.randint(0, 99)}",
+                        f"{rng.randint(0, 9)}.", str(rng.randint(-9, 9))])
+        n = str(rng.randint(0, 3)) if i % 2 else f"{rng.randint(0, 3)}.5"
+        lines.append(f"{k},{p},{q},{r},{n}")
+    (ds_dir / "EPO.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    lines = ["ts,PCT,CUR,EUR,BOOL,URL,WORD,EMPTY,MIX"]
+    for k in range(1, 41):
+        lines.append(",".join([
+            str(k),
+            f"{rng.uniform(0, 100):.1f}%",
+            f"${rng.randint(1, 99)}.{rng.randint(10, 99)}",
+            f"€{rng.randint(1, 9)}",
+            rng.choice(["Yes", "no", "YES", "No"]),
+            f"https://x.example/{k}",
+            rng.choice(["alpha", "beta", "gamma"]),
+            "",
+            rng.choice(["1", "2.5", "x"]) if k % 5 else "",
+        ]))
+    (ds_dir / "TXT.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    (ds_dir / "NIL.csv").write_text("ts,V\n", encoding="utf-8")
+    return ds_dir
 
 
 class TestRegister:
@@ -55,6 +105,24 @@ class TestRegister:
         assert doc["dataset"] == DATASET
         assert doc["schema_name"] == "Dublin Core"
         assert doc["domain"]["environmental"] == "energy monitoring"
+
+    def test_sensors_document_matches_golden(self, tmp_path):
+        # Golden bytes were produced by the per-cell inference that ran on
+        # every load; typing once at register must not change one byte.
+        write_fixture(tmp_path / "data")
+        write_mixed_fixture(tmp_path / "data")
+        source = DataSource("local", str(tmp_path / "data"))
+        cat = Catalog(tmp_path / "state", [source])
+        doc = {name: cat.register_dataset(source, name).sensors
+               for name in (DATASET, "Mixed-ds")}
+        got = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert got == GOLDEN_SENSORS.read_text(encoding="utf-8")
+
+    def test_from_document_inverts_document(self, app):
+        entry = app.catalog.lookup(DATASET)
+        assert CatalogEntry.from_document(entry.document()) == entry
+        restored = json.loads(json.dumps(entry.document()))
+        assert CatalogEntry.from_document(restored) == entry
 
     def test_state_restored_across_restart(self, app):
         reopened = Catalog(app.catalog.state_dir, list(app.catalog.sources.values()))
@@ -155,6 +223,13 @@ def file_server(tmp_path):
         def log_message(self, *args):
             pass
 
+        def do_GET(self):
+            # An ``unavailable`` file in the root makes every request 503.
+            if (root / "unavailable").exists():
+                self.send_error(503)
+            else:
+                super().do_GET()
+
     handler = functools.partial(QuietHandler, directory=str(root))
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
     threading.Thread(target=server.serve_forever, daemon=True).start()
@@ -183,6 +258,25 @@ class TestRemoteSource:
         events = cat.crawl()
         assert [e.kind for e in events] == ["modified"]
         assert events[0].new_hash != entry.content_hash
+
+    def test_outage_keeps_entry(self, tmp_path, file_server):
+        root, base = file_server
+        source = DataSource(id="remote", root=base, kind="remote_http")
+        cat = Catalog(tmp_path / "state4", [source])
+        entry = cat.register_dataset(
+            source, "AMPds-remote", sensor_files=["HPE.csv", "DWE.csv", "WOE.csv"]
+        )
+        before = cat._entry_path("AMPds-remote").read_bytes()
+        (root / "unavailable").touch()
+        events = cat.crawl()
+        assert [(e.kind, e.dataset) for e in events] == [
+            ("source_error", "AMPds-remote")]
+        assert cat.lookup("AMPds-remote") == entry
+        assert cat.dataset("AMPds-remote").sensor("DWE").row_count > 0
+        assert cat._entry_path("AMPds-remote").read_bytes() == before
+        # Back up: the entry was never lost, so nothing changed.
+        (root / "unavailable").unlink()
+        assert cat.crawl() == []
 
     def test_needs_sensor_list(self, tmp_path, file_server):
         _, base = file_server

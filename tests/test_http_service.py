@@ -1,6 +1,9 @@
 import hashlib
+import http.client
 import json
 from pathlib import Path
+
+import pytest
 
 import requests
 
@@ -136,6 +139,21 @@ class TestMintEndpoint:
         r = requests.post(f"{base}/mint", data="not json")
         assert r.status_code == 400
 
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_400(self, live_server, length):
+        app, _ = live_server
+        conn = http.client.HTTPConnection("127.0.0.1", app.config.port, timeout=10)
+        try:
+            conn.putrequest("POST", "/mint")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert b"Content-Length" in resp.read()
+        finally:
+            conn.close()
+        assert app.minter.bindings == {}
+
 
 class TestCatalogEndpoints:
     def test_list_all(self, live_server):
@@ -168,6 +186,23 @@ class TestCatalogEndpoints:
     def test_unknown_path_404(self, live_server):
         _, base = live_server
         assert requests.get(f"{base}/nope").status_code == 404
+
+    def test_unexpected_error_is_500(self, live_server, monkeypatch):
+        app, _ = live_server
+
+        def broken(query):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(app.catalog, "search", broken)
+        conn = http.client.HTTPConnection("127.0.0.1", app.config.port, timeout=10)
+        try:
+            conn.request("GET", "/catalog")
+            resp = conn.getresponse()
+            assert resp.status == 500
+            assert resp.getheader("Content-Type").startswith("text/plain")
+            assert resp.read() == b"internal error\n"
+        finally:
+            conn.close()
 
 
 def test_canonical_url_shape(live_server):

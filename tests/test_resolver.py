@@ -1,9 +1,13 @@
+import sys
+import threading
+
 import pytest
 
 from arkslice.errors import (
     InvalidTarget,
     MalformedPid,
     NotFound,
+    PersistenceError,
     TooFewRows,
     UnknownNaan,
 )
@@ -85,6 +89,70 @@ class TestMinter:
     def test_rebind_unknown(self, tmp_path):
         with pytest.raises(NotFound):
             Minter(tmp_path / "mints.log").rebind("0000", "https://example.org/")
+
+    def test_threaded_mints_never_reuse(self, tmp_path):
+        log = tmp_path / "mints.log"
+        minter = Minter(log)
+        start = threading.Barrier(4)
+        noids = []
+
+        def mint_many():
+            start.wait()
+            noids.extend(minter.mint("https://example.org/x").noid
+                         for _ in range(300))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=mint_many) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(set(noids)) == len(noids) == 1200
+        assert len(Minter(log).bindings) == 1200
+
+    @pytest.mark.parametrize("torn", [
+        b'{"created_at": "2026-01-01T00:00:00+00:00", "no',  # cut mid-record
+        b'{"noid": "00\n',  # undecodable, newline-terminated
+    ])
+    def test_torn_last_line_is_dropped(self, tmp_path, torn):
+        log = tmp_path / "mints.log"
+        first = Minter(log)
+        noids = [first.mint("https://example.org/a").noid for _ in range(3)]
+        whole = log.read_bytes()
+        log.write_bytes(whole + torn)
+        second = Minter(log)
+        assert sorted(second.bindings) == noids
+        assert log.read_bytes() == whole
+        fresh = second.mint("https://example.org/b")
+        assert fresh.noid not in noids
+        third = Minter(log)
+        assert third.binding(fresh.noid).target == "https://example.org/b"
+        assert len(third.bindings) == 4
+
+    def test_unterminated_last_record_is_kept(self, tmp_path):
+        log = tmp_path / "mints.log"
+        first = Minter(log)
+        b = first.mint("https://example.org/a")
+        log.write_bytes(log.read_bytes().rstrip(b"\n"))
+        second = Minter(log)
+        assert second.binding(b.noid).target == "https://example.org/a"
+        fresh = second.mint("https://example.org/b")
+        assert Minter(log).binding(fresh.noid).target == "https://example.org/b"
+
+    def test_corrupt_line_before_the_last_raises(self, tmp_path):
+        log = tmp_path / "mints.log"
+        minter = Minter(log)
+        minter.mint("https://example.org/a")
+        minter.mint("https://example.org/b")
+        first, second = log.read_bytes().splitlines(keepends=True)
+        log.write_bytes(first[:10] + b"\n" + second)
+        with pytest.raises(PersistenceError):
+            Minter(log)
 
 
 class TestResolve:

@@ -39,6 +39,8 @@ class TestLoad:
         assert table.column("V") == ("118.1", "119.0")
         assert table.row_count == 2
         assert table.key_column_name == "ts"
+        # Loading never types: the catalog does that once, at register.
+        assert [desc for _, _, desc in table.columns] == [None]
 
     def test_out_of_order_rows_sorted(self, tmp_path):
         path = write_csv(tmp_path, "ts,V\n2,a\n1,b\n")

@@ -1,9 +1,11 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arkslice.catalog import _key_schema
 from arkslice.errors import EmptyColumn
 from arkslice.timeseries_store import SensorTable
 from arkslice.type_registry import (
@@ -12,6 +14,7 @@ from arkslice.type_registry import (
     compute_correlation,
     compute_properties,
     infer_column_type,
+    numeric_values,
 )
 
 
@@ -70,6 +73,128 @@ class TestInference:
         shuffled = list(cells)
         rnd.shuffle(shuffled)
         assert infer_column_type(cells) == infer_column_type(shuffled)
+
+
+# Reference: the per-cell algorithm the registry used before it typed
+# distinct values in one pass. Kept verbatim as the oracle for the
+# property below.
+_REF_INT_RE = re.compile(r"^[+-]?[0-9]+$")
+_REF_REAL_RE = re.compile(r"^[+-]?([0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)$")
+_REF_SCI_RE = re.compile(r"^[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)[eE][+-]?[0-9]+$")
+_REF_PCT_RE = re.compile(r"^[+-]?[0-9]+(\.[0-9]+)?%$")
+_REF_CURRENCY = {"$": "$", "€": "Euro", "¥": "Yen"}
+
+
+def _ref_boolean(cells):
+    lowered = {c.lower() for c in cells}
+    for pair, name in (
+        ({"yes", "no"}, "yes/no"),
+        ({"true", "false"}, "true/false"),
+        ({"on", "off"}, "on/off"),
+    ):
+        if lowered <= pair:
+            return name
+    return None
+
+
+def _ref_currency(cells):
+    names = set()
+    for c in cells:
+        if len(c) < 2 or c[0] not in _REF_CURRENCY:
+            return None
+        if not _REF_REAL_RE.match(c[1:]):
+            return None
+        names.add(_REF_CURRENCY[c[0]])
+    return names.pop() if len(names) == 1 else "$"
+
+
+def ref_infer(cells, is_key=False):
+    nonempty = [c for c in cells if c != ""]
+    if not nonempty:
+        return TypeDescriptor("text", "varchar")
+    derived = _ref_boolean(nonempty)
+    if derived is not None:
+        return TypeDescriptor("boolean", derived)
+    if all(_REF_INT_RE.match(c) for c in nonempty):
+        if is_key and all(int(c) >= 10**9 for c in nonempty):
+            return TypeDescriptor("date/time", "timestamp")
+        return TypeDescriptor("number", "integer")
+    if all(_REF_SCI_RE.match(c) or _REF_REAL_RE.match(c) for c in nonempty) and any(
+        _REF_SCI_RE.match(c) for c in nonempty
+    ):
+        return TypeDescriptor("number", "scientific")
+    if all(_REF_REAL_RE.match(c) for c in nonempty):
+        return TypeDescriptor("number", "real")
+    if all(_REF_PCT_RE.match(c) for c in nonempty):
+        return TypeDescriptor("number", "percentage")
+    derived = _ref_currency(nonempty)
+    if derived is not None:
+        return TypeDescriptor("currency", derived)
+    if all(c.startswith(("http://", "https://")) for c in nonempty):
+        return TypeDescriptor("pointer", "hyperlink")
+    return TypeDescriptor("text", "varchar")
+
+
+def ref_numeric_values(cells):
+    return [float(c) for c in cells
+            if c and (_REF_REAL_RE.match(c) or _REF_SCI_RE.match(c))]
+
+
+_sign = st.sampled_from(["", "+", "-"])
+_digits = st.text("0123456789", min_size=1, max_size=4)
+_ints = st.builds(str.__add__, _sign, _digits)
+_epochs = st.integers(10**9 - 5, 2 * 10**9).map(str)
+_mantissas = st.one_of(
+    _digits,
+    st.builds("{}.{}".format, _digits, st.text("0123456789", max_size=3)),
+    st.builds(".{}".format, _digits),
+)
+_reals = st.builds(str.__add__, _sign, _mantissas)
+_scis = st.builds("{}{}{}{}{}".format, _sign, _mantissas,
+                  st.sampled_from("eE"), _sign, _digits)
+_pcts = st.builds("{}{}{}%".format, _sign, _digits,
+                  st.sampled_from(["", ".5", ".25", "."]))
+_currencies = st.builds(str.__add__, st.sampled_from(["$", "€", "¥", "£"]),
+                        st.one_of(_reals, st.just("")))
+_booleans = st.builds(
+    lambda word, caps: "".join(c.upper() if u else c for c, u in zip(word, caps)),
+    st.sampled_from(["yes", "no", "true", "false", "on", "off"]),
+    st.lists(st.booleans(), min_size=5, max_size=5),
+)
+_links = st.sampled_from(["http://a.example/x", "https://b.example", "http:/c",
+                          "ftp://d.example", "HTTP://e.example"])
+_odd = st.sampled_from(["", "", "x", ".", "+", "-", "e5", "1e", "1.2.3",
+                        "nan", "inf", "0x1f", "1_000", "%", "yes no"])
+_KINDS = [_ints, _epochs, _reals, _scis, _pcts, _currencies, _booleans,
+          _links, _odd]
+
+
+@st.composite
+def _cells(draw):
+    """A column mixing one to three kinds of cell, in a quarter of the
+    columns with stray spaces."""
+    kinds = draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=3))
+    cell = st.one_of(kinds)
+    if draw(st.integers(0, 3)) == 0:
+        cell = st.one_of(cell, cell.map(" {}".format), cell.map("{} ".format))
+    return draw(st.lists(cell, max_size=25))
+
+
+class TestAgainstPerCellReference:
+    @given(_cells())
+    @settings(max_examples=400)
+    def test_matches_reference(self, cells):
+        assert infer_column_type(cells) == ref_infer(cells)
+        assert infer_column_type(cells, is_key=True) == ref_infer(cells, True)
+        assert numeric_values(cells) == ref_numeric_values(cells)
+
+    @given(st.lists(st.integers(-10**3, 3 * 10**9), unique=True, max_size=20))
+    def test_key_schema_matches_reference(self, keys):
+        key = tuple(sorted(keys))
+        doc = _key_schema("ts", key)
+        expected = ref_infer([str(k) for k in key], is_key=True)
+        assert (doc["basic"], doc["derived"]) == (expected.basic, expected.derived)
+        assert doc["properties"] is None
 
 
 class TestProperties:
