@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import urllib.request
 from dataclasses import dataclass, field, asdict
 from datetime import datetime, timezone
@@ -134,6 +135,7 @@ class ChangeEvent:
     observed_at: str
     old_hash: Optional[str] = None
     new_hash: Optional[str] = None
+    error: Optional[str] = None  # the failure behind a source_error
 
 
 def content_hash(csv_paths: list[Path]) -> str:
@@ -184,6 +186,7 @@ class Catalog:
         self.sources: dict[str, DataSource] = {s.id: s for s in sources}
         self.entries: dict[str, CatalogEntry] = {}
         self.datasets: dict[str, Dataset] = {}
+        self._write_lock = threading.RLock()  # crawl re-enters register_dataset
         self._restore()
 
     # --- persistence ---
@@ -271,48 +274,51 @@ class Catalog:
         directory listing over HTTP). Re-registering the same dataset from
         the same source refreshes it; a second source is a conflict.
         """
-        existing = self.entries.get(dataset_name)
-        if existing is not None and existing.source_id != source.id:
-            raise DuplicateDataset(
-                f"{dataset_name!r} already registered from source "
-                f"{existing.source_id!r}"
+        with self._write_lock:
+            existing = self.entries.get(dataset_name)
+            if existing is not None and existing.source_id != source.id:
+                raise DuplicateDataset(
+                    f"{dataset_name!r} already registered from source "
+                    f"{existing.source_id!r}"
+                )
+            metadata = metadata or DatasetMetadata()
+            if source.kind == "remote_http":
+                if not sensor_files:
+                    raise LoadError(
+                        "remote sources need an explicit sensor file list")
+                data_dir = self._fetch_remote(source, dataset_name, sensor_files)
+            elif data_dir is not None:
+                data_dir = Path(data_dir)
+            else:
+                data_dir = Path(source.root) / dataset_name
+            files = self._csv_files(data_dir)
+
+            tables = {}
+            sensors = []
+            for path in files:
+                name = path.stem
+                if not NAME_RE.match(name):
+                    raise LoadError(
+                        f"sensor file name {path.name!r} is not a valid name")
+                table = timeseries_store.load_sensor_csv(path, name)
+                tables[name] = table
+                sensors.append(_sensor_schema(table, path.name))
+
+            now = _now()
+            entry = CatalogEntry(
+                dataset=dataset_name,
+                source_id=source.id,
+                data_dir=str(data_dir),
+                sensors=sensors,
+                metadata=metadata,
+                content_hash=content_hash(files),
+                registered_at=existing.registered_at if existing else now,
+                updated_at=now,
             )
-        metadata = metadata or DatasetMetadata()
-        if source.kind == "remote_http":
-            if not sensor_files:
-                raise LoadError("remote sources need an explicit sensor file list")
-            data_dir = self._fetch_remote(source, dataset_name, sensor_files)
-        elif data_dir is not None:
-            data_dir = Path(data_dir)
-        else:
-            data_dir = Path(source.root) / dataset_name
-        files = self._csv_files(data_dir)
-
-        tables = {}
-        sensors = []
-        for path in files:
-            name = path.stem
-            if not NAME_RE.match(name):
-                raise LoadError(f"sensor file name {path.name!r} is not a valid name")
-            table = timeseries_store.load_sensor_csv(path, name)
-            tables[name] = table
-            sensors.append(_sensor_schema(table, path.name))
-
-        now = _now()
-        entry = CatalogEntry(
-            dataset=dataset_name,
-            source_id=source.id,
-            data_dir=str(data_dir),
-            sensors=sensors,
-            metadata=metadata,
-            content_hash=content_hash(files),
-            registered_at=existing.registered_at if existing else now,
-            updated_at=now,
-        )
-        self.entries[dataset_name] = entry
-        self.datasets[dataset_name] = Dataset(name=dataset_name, sensors=tables)
-        self._write_entry(entry)
-        return entry
+            self.entries[dataset_name] = entry
+            self.datasets[dataset_name] = Dataset(name=dataset_name, sensors=tables)
+            self._write_entry(entry)
+            return entry
 
     def lookup(self, dataset_name: str) -> CatalogEntry:
         entry = self.entries.get(dataset_name)
@@ -356,78 +362,79 @@ class Catalog:
         failures, a remote source that cannot be reached among them, become
         ``source_error`` events instead of aborting; the entry is kept.
         """
-        events: list[ChangeEvent] = []
+        with self._write_lock:
+            events: list[ChangeEvent] = []
 
-        for name in sorted(self.entries):
-            entry = self.entries[name]
-            source = self.sources.get(entry.source_id)
-            try:
-                if source is not None and source.kind == "remote_http":
-                    self._fetch_remote(
-                        source, name, [s["file"] for s in entry.sensors]
-                    )
+            for name in sorted(self.entries):
+                entry = self.entries[name]
+                source = self.sources.get(entry.source_id)
                 try:
-                    files = self._csv_files(Path(entry.data_dir))
-                except LoadError:
-                    self._remove(entry, events)
-                    continue
-                new_hash = content_hash(files)
-                if new_hash != entry.content_hash:
-                    old_hash = entry.content_hash
-                    remote = source is not None and source.kind == "remote_http"
-                    self.register_dataset(
-                        source
-                        or DataSource(entry.source_id, str(Path(entry.data_dir).parent)),
-                        name,
-                        entry.metadata,
-                        sensor_files=(
-                            [s["file"] for s in entry.sensors] if remote else None
-                        ),
+                    if source is not None and source.kind == "remote_http":
+                        self._fetch_remote(
+                            source, name, [s["file"] for s in entry.sensors]
+                        )
+                    try:
+                        files = self._csv_files(Path(entry.data_dir))
+                    except LoadError:
+                        self._remove(entry, events)
+                        continue
+                    new_hash = content_hash(files)
+                    if new_hash != entry.content_hash:
+                        old_hash = entry.content_hash
+                        remote = source is not None and source.kind == "remote_http"
+                        self.register_dataset(
+                            source or DataSource(
+                                entry.source_id, str(Path(entry.data_dir).parent)
+                            ),
+                            name,
+                            entry.metadata,
+                            sensor_files=(
+                                [s["file"] for s in entry.sensors] if remote else None
+                            ),
+                        )
+                        events.append(
+                            ChangeEvent(
+                                "modified", name, entry.source_id, _now(),
+                                old_hash=old_hash, new_hash=new_hash,
+                            )
+                        )
+                except ArksliceError as exc:
+                    events.append(
+                        ChangeEvent("source_error", name, entry.source_id, _now(),
+                                    error=str(exc))
                     )
+
+            for source in self.sources.values():
+                if source.kind != "local_directory":
+                    continue
+                root = Path(source.root)
+                if not root.is_dir():
+                    continue
+                for child in sorted(root.iterdir()):
+                    if not child.is_dir() or not NAME_RE.match(child.name):
+                        continue
+                    if child.name in self.entries:
+                        continue
+                    if not any(child.glob("*.csv")):
+                        continue
+                    try:
+                        entry = self.register_dataset(source, child.name)
+                    except ArksliceError as exc:
+                        events.append(
+                            ChangeEvent("source_error", child.name, source.id, _now(),
+                                        error=str(exc))
+                        )
+                        continue
                     events.append(
                         ChangeEvent(
-                            "modified", name, entry.source_id, _now(),
-                            old_hash=old_hash, new_hash=new_hash,
+                            "added", child.name, source.id, _now(),
+                            new_hash=entry.content_hash,
                         )
                     )
-            except ArksliceError:
-                events.append(
-                    ChangeEvent(
-                        "source_error", name, entry.source_id, _now(),
-                        new_hash=None, old_hash=None,
-                    )
-                )
 
-        for source in self.sources.values():
-            if source.kind != "local_directory":
-                continue
-            root = Path(source.root)
-            if not root.is_dir():
-                continue
-            for child in sorted(root.iterdir()):
-                if not child.is_dir() or not NAME_RE.match(child.name):
-                    continue
-                if child.name in self.entries:
-                    continue
-                if not any(child.glob("*.csv")):
-                    continue
-                try:
-                    entry = self.register_dataset(source, child.name)
-                except ArksliceError:
-                    events.append(
-                        ChangeEvent("source_error", child.name, source.id, _now())
-                    )
-                    continue
-                events.append(
-                    ChangeEvent(
-                        "added", child.name, source.id, _now(),
-                        new_hash=entry.content_hash,
-                    )
-                )
-
-        for event in events:
-            self._log_event(event)
-        return events
+            for event in events:
+                self._log_event(event)
+            return events
 
     def _remove(self, entry: CatalogEntry, events: list[ChangeEvent]) -> None:
         del self.entries[entry.dataset]

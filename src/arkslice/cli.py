@@ -6,16 +6,15 @@ dataset), 2 internal error.
 
 from __future__ import annotations
 
-import json
 import sys
 
 import click
 
 from .catalog import DatasetMetadata
-from .errors import ArksliceError, MalformedPid, PersistenceError
-from .http_service import App, ServiceConfig, serve
-from .pid_grammar import parse_pid
-from .resolver import Data
+from .errors import ArksliceError, MalformedPid
+from .http_service import App, ServiceConfig, json_bytes, serve
+from .pid_grammar import split_ark
+from .resolver import Info, Redirect, Resolution
 from .timeseries_store import render_csv
 
 
@@ -31,6 +30,17 @@ def strip_scheme_host(pid: str) -> str:
 
 def _app(config_path: str) -> App:
     return App(ServiceConfig.from_file(config_path))
+
+
+def _print_resolution(result: Resolution) -> None:
+    """Print what ``GET /ark:/...`` sends: the CSV slice, the same JSON
+    document for ``?info``, or a redirect's location."""
+    if isinstance(result, Redirect):
+        click.echo(result.location)
+    elif isinstance(result, Info):
+        sys.stdout.write(json_bytes(result.document).decode("utf-8"))
+    else:
+        sys.stdout.write(render_csv(result.slice))
 
 
 @click.group()
@@ -72,11 +82,9 @@ def ingest(config_path, source_id, dataset, core, directory):
 @click.argument("pid")
 @click.pass_obj
 def resolve(config_path, pid):
-    """Print the CSV slice for a semantic PID (same bytes as HTTP)."""
+    """Print the slice a PID names, or a NOID's target (same bytes as HTTP)."""
     app = _app(config_path)
-    q = parse_pid(strip_scheme_host(pid))
-    result = app.resolver.resolve_pid(q)
-    sys.stdout.write(render_csv(result.slice))
+    _print_resolution(app.resolver.resolve(*split_ark(strip_scheme_host(pid))))
 
 
 @cli.command()
@@ -124,7 +132,7 @@ def crawl(config_path):
 def search(config_path, query):
     """Search the catalog (empty query lists everything)."""
     app = _app(config_path)
-    click.echo(json.dumps(app.catalog.search(query), sort_keys=True, indent=2))
+    sys.stdout.write(json_bytes(app.catalog.search(query)).decode("utf-8"))
 
 
 @cli.command()
@@ -133,10 +141,9 @@ def search(config_path, query):
 def info(config_path, pid):
     """Print catalog metadata for the dataset/columns a PID references."""
     app = _app(config_path)
-    q = parse_pid(strip_scheme_host(pid))
-    result = app.resolver.resolve(q.naan, strip_scheme_host(pid).split("/", 2)[2],
-                                  info=True)
-    click.echo(json.dumps(result.document, sort_keys=True, indent=2))
+    _print_resolution(
+        app.resolver.resolve(*split_ark(strip_scheme_host(pid)), info=True)
+    )
 
 
 def main(argv=None) -> int:
@@ -148,12 +155,10 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return 1
-    except PersistenceError as exc:
-        click.echo(f"internal error: {exc}", err=True)
-        return 2
     except ArksliceError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
+        kind = "internal error" if exc.exit_code == 2 else "error"
+        click.echo(f"{kind}: {exc}", err=True)
+        return exc.exit_code
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         click.echo(f"internal error: {exc}", err=True)
         return 2

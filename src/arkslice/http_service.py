@@ -10,29 +10,16 @@ from __future__ import annotations
 import json
 import logging
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import unquote, parse_qs
 
 from .catalog import Catalog, DataSource
-from .errors import (
-    ArksliceError,
-    BadNaan,
-    DuplicateName,
-    InvalidRange,
-    InvalidTarget,
-    MalformedPid,
-    NotFound,
-    UnknownMeasurement,
-    UnknownNaan,
-    UnknownSensor,
-)
+from .errors import ArksliceError, InvalidTarget, NotFound
+from .pid_grammar import split_ark
 from .resolver import Data, Info, Minter, Redirect, Resolver
 from .timeseries_store import render_csv
-
-_BAD_REQUEST = (MalformedPid, InvalidRange, DuplicateName, BadNaan, InvalidTarget)
-_NOT_FOUND = (UnknownNaan, NotFound, UnknownSensor, UnknownMeasurement)
 
 _log = logging.getLogger(__name__)
 
@@ -93,7 +80,7 @@ class App:
         return src
 
 
-def _json_bytes(obj) -> bytes:
+def json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
@@ -125,12 +112,8 @@ class ResolverHandler(BaseHTTPRequestHandler):
         path, query = self._split_target()
         try:
             route(path, query)
-        except _BAD_REQUEST as exc:
-            self._error(400, str(exc))
-        except _NOT_FOUND as exc:
-            self._error(404, str(exc))
         except ArksliceError as exc:
-            self._error(500, str(exc))
+            self._error(exc.http_status, str(exc))
         except Exception:
             _log.exception("error serving %s %s", self.command, self.path)
             self._error(500, "internal error")
@@ -147,25 +130,21 @@ class ResolverHandler(BaseHTTPRequestHandler):
         elif path == "/catalog":
             q = parse_qs(query).get("q", [""])[0]
             self._send(200, "application/json; charset=utf-8",
-                       _json_bytes(self.app.catalog.search(q)))
+                       json_bytes(self.app.catalog.search(q)))
         elif path.startswith("/ark:/"):
             self._resolve_ark(path, query)
         else:
-            self._error(404, "unknown path")
+            raise NotFound("unknown path")
 
     def _resolve_ark(self, path: str, query: str):
-        remainder = path[len("/ark:/"):]
-        naan, sep, body = remainder.partition("/")
-        if not sep or not body:
-            raise MalformedPid("expected /ark:/NAAN/BODY")
         info = "info" in parse_qs(query, keep_blank_values=True)
-        result = self.app.resolver.resolve(naan, body, info=info)
+        result = self.app.resolver.resolve(*split_ark(path[1:]), info=info)
         if isinstance(result, Redirect):
             self._send(result.status, "text/plain; charset=utf-8", b"",
                        headers=[("Location", result.location)])
         elif isinstance(result, Info):
             self._send(200, "application/json; charset=utf-8",
-                       _json_bytes(result.document))
+                       json_bytes(result.document))
         elif isinstance(result, Data):
             self._send(200, "text/csv; charset=utf-8",
                        render_csv(result.slice).encode("utf-8"))
@@ -201,24 +180,13 @@ class ResolverHandler(BaseHTTPRequestHandler):
                 "url": f"{self.app.config.base_url}/ark:/{naan}/{binding.noid}",
             }
             self._send(201, "application/json; charset=utf-8",
-                       _json_bytes(payload))
+                       json_bytes(payload))
         elif path == "/crawl":
-            events = self.app.catalog.crawl()
-            payload = [
-                {
-                    "kind": e.kind,
-                    "dataset": e.dataset,
-                    "source_id": e.source_id,
-                    "observed_at": e.observed_at,
-                    "old_hash": e.old_hash,
-                    "new_hash": e.new_hash,
-                }
-                for e in events
-            ]
+            payload = [asdict(e) for e in self.app.catalog.crawl()]
             self._send(200, "application/json; charset=utf-8",
-                       _json_bytes(payload))
+                       json_bytes(payload))
         else:
-            self._error(404, "unknown path")
+            raise NotFound("unknown path")
 
 
 def make_server(app: App) -> ThreadingHTTPServer:

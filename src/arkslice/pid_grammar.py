@@ -114,18 +114,22 @@ def _parse_selector(text: str) -> RangeSelector:
     return RangeSelector(terms=tuple(_parse_term(t) for t in text.split("+")))
 
 
-def parse_pid(text: str) -> PidQuery:
-    """Parse a full ``ark:/...`` PID string into a PidQuery.
-
-    The caller must already have stripped any scheme/host prefix; the
-    string must begin with ``ark:/``.
-    """
+def split_ark(text: str) -> tuple[str, str]:
+    """Split ``ark:/NAAN/BODY`` into ``(NAAN, BODY)``, checking only the
+    shape. The caller must already have stripped any scheme/host prefix."""
     if not isinstance(text, str) or not text.startswith("ark:/"):
         raise MalformedPid("PID must start with 'ark:/'")
-    rest = text[len("ark:/"):]
-    naan, sep, body = rest.partition("/")
+    naan, sep, body = text[len("ark:/"):].partition("/")
     if not sep:
         raise MalformedPid("missing '/' after NAAN")
+    if not body:
+        raise MalformedPid("missing body after 'ark:/NAAN/'")
+    return naan, body
+
+
+def parse_pid(text: str) -> PidQuery:
+    """Parse a full ``ark:/...`` PID string into a PidQuery."""
+    naan, body = split_ark(text)
     if not naan or not _DIGITS_RE.match(naan):
         raise BadNaan(f"NAAN must be decimal digits, got {naan!r}")
     return PidQuery(naan=naan, **parse_pid_body(body))

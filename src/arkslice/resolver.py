@@ -208,7 +208,7 @@ class Resolver:
         return sorted(self.naans)[0]
 
     def resolve(self, naan: str, path_remainder: str, info: bool = False) -> Resolution:
-        """Resolve the part after ``ark:/NAAN/``.
+        """Resolve the part after ``ark:/NAAN/`` for the HTTP service and CLI.
 
         A remainder whose head (before any '/') is a minted NOID becomes a
         redirect, with everything after the head appended to the target
@@ -230,13 +230,6 @@ class Resolver:
         q = PidQuery(naan=naan, **parse_pid_body(path_remainder))
         if info:
             return Info(self._info_document(q))
-        dataset = self.catalog.dataset(q.dataset)
-        return Data(timeseries_store.select(dataset, q))
-
-    def resolve_pid(self, q: PidQuery) -> Data:
-        """Execute a parsed semantic PID directly."""
-        if q.naan not in self.naans:
-            raise UnknownNaan(f"this resolver does not serve NAAN {q.naan!r}")
         dataset = self.catalog.dataset(q.dataset)
         return Data(timeseries_store.select(dataset, q))
 

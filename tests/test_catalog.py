@@ -214,6 +214,50 @@ class TestCrawl:
         assert records[-1]["kind"] == "removed"
         assert records[-1]["dataset"] == DATASET
 
+    @pytest.mark.parametrize("change", ["removed", "added"])
+    def test_concurrent_crawls_apply_each_change_once(
+        self, app, tmp_path, data_dir, change
+    ):
+        if change == "removed":
+            shutil.rmtree(data_dir)
+        else:
+            write_fixture(tmp_path / "data", dataset="AMPds-extra")
+        # Each crawl's first directory scan waits for the other crawl to
+        # reach its own, so unserialised crawls both see the same change.
+        # Serialised crawls break the barrier by timeout and go on.
+        barrier = threading.Barrier(2, timeout=1.5)
+        waited = set()
+        csv_files = app.catalog._csv_files
+
+        def racing_csv_files(path):
+            if threading.get_ident() not in waited:
+                waited.add(threading.get_ident())
+                try:
+                    barrier.wait()
+                except threading.BrokenBarrierError:
+                    pass
+            return csv_files(path)
+
+        app.catalog._csv_files = racing_csv_files
+        events, errors = [], []
+
+        def crawl():
+            try:
+                events.extend(app.catalog.crawl())
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=crawl) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert errors == []
+        assert [e.kind for e in events] == [change]
+        logged = app.catalog.events_log.read_text().splitlines()
+        assert [json.loads(line)["kind"] for line in logged] == [change]
+
 
 @pytest.fixture
 def file_server(tmp_path):
@@ -271,6 +315,10 @@ class TestRemoteSource:
         events = cat.crawl()
         assert [(e.kind, e.dataset) for e in events] == [
             ("source_error", "AMPds-remote")]
+        failed_url = f"{base}/AMPds-remote/DWE.csv"
+        assert failed_url in events[0].error
+        logged = json.loads(cat.events_log.read_text().splitlines()[-1])
+        assert failed_url in logged["error"]
         assert cat.lookup("AMPds-remote") == entry
         assert cat.dataset("AMPds-remote").sensor("DWE").row_count > 0
         assert cat._entry_path("AMPds-remote").read_bytes() == before

@@ -3,6 +3,8 @@ import json
 import pytest
 import requests
 
+from arkslice import errors
+from arkslice.catalog import Catalog
 from arkslice.cli import main, strip_scheme_host
 
 import oracle
@@ -87,6 +89,15 @@ class TestCommands:
         assert lines[0] == "0000"
         assert lines[1] == f"http://resolver.example/ark:/{NAAN}/0000"
 
+    def test_resolve_minted_noid_prints_location(self, capsys, config_path):
+        ingest(capsys, config_path)
+        target = f"ark:/{NAAN}/{DATASET}.DWE.V@*"
+        run(capsys, "--config", config_path, "mint", "--target", target)
+        code, out, _ = run(capsys, "--config", config_path, "resolve",
+                           f"ark:/{NAAN}/0000")
+        assert code == 0
+        assert out == f"http://resolver.example/{target}\n"
+
     def test_mint_bad_target_exit_1(self, capsys, config_path):
         code, _, _ = run(capsys, "--config", config_path, "mint", "--target", "")
         assert code == 1
@@ -135,3 +146,65 @@ def test_cli_http_equivalence(capsys, config_path, live_server, data_dir):
         code, out, _ = run(capsys, "--config", config_path, "resolve", pid)
         assert code == 0
         assert out.encode() == requests.get(f"{base}/{pid}").content
+
+
+def test_cli_http_info_equivalence(capsys, config_path, live_server):
+    """``info`` of a full URL prints the bytes ``GET ...?info`` sends."""
+    _, base = live_server
+    pid = f"ark:/{NAAN}/{DATASET}.DWE.V@*"
+    code, out, _ = run(capsys, "--config", config_path, "info",
+                       f"https://n2t.net/{pid}")
+    assert code == 0
+    assert out.encode() == requests.get(f"{base}/{pid}?info").content
+
+
+# (HTTP status, CLI exit code) of every error class.
+ERROR_TABLE = {
+    errors.ArksliceError: (500, 1),
+    errors.MalformedPid: (400, 1),
+    errors.InvalidRange: (400, 1),
+    errors.DuplicateName: (400, 1),
+    errors.BadNaan: (400, 1),
+    errors.InvariantViolation: (500, 1),
+    errors.IoError: (500, 1),
+    errors.DuplicateTimestamp: (500, 1),
+    errors.NonIntegerTimestamp: (500, 1),
+    errors.RaggedRow: (500, 1),
+    errors.EmptyFile: (500, 1),
+    errors.UnknownSensor: (404, 1),
+    errors.UnknownMeasurement: (404, 1),
+    errors.EmptyColumn: (500, 1),
+    errors.DuplicateDataset: (500, 1),
+    errors.LoadError: (500, 1),
+    errors.NotFound: (404, 1),
+    errors.UnknownNaan: (404, 1),
+    errors.InvalidTarget: (400, 1),
+    errors.PersistenceError: (500, 2),
+    errors.TooFewRows: (500, 1),
+}
+
+
+def test_error_table_names_every_error():
+    found, todo = set(), [errors.ArksliceError]
+    while todo:
+        cls = todo.pop()
+        found.add(cls)
+        todo.extend(cls.__subclasses__())
+    assert found == set(ERROR_TABLE)
+
+
+@pytest.mark.parametrize("exc_class", ERROR_TABLE, ids=lambda c: c.__name__)
+def test_error_table(exc_class, capsys, config_path, live_server, monkeypatch):
+    """The same error gives the same answer through either surface."""
+    status, exit_code = ERROR_TABLE[exc_class]
+
+    def fail(self, query):
+        raise exc_class("stubbed failure")
+
+    monkeypatch.setattr(Catalog, "search", fail)
+    _, base = live_server
+    r = requests.get(f"{base}/catalog")
+    assert (r.status_code, r.text) == (status, "stubbed failure\n")
+    code, out, err = run(capsys, "--config", config_path, "search")
+    kind = "internal error" if exit_code == 2 else "error"
+    assert (code, out, err) == (exit_code, "", f"{kind}: stubbed failure\n")

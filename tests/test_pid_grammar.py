@@ -18,6 +18,7 @@ from arkslice.pid_grammar import (
     effective_key_set,
     parse_pid,
     serialize_pid,
+    split_ark,
 )
 
 
@@ -97,6 +98,13 @@ class TestParse:
     def test_malformed(self, bad):
         with pytest.raises(MalformedPid):
             parse_pid(bad)
+
+    @pytest.mark.parametrize("bad", ["", "57460/0000", "ark:/57460", "ark:/57460/"])
+    def test_split_ark(self, bad):
+        # Only the shape is checked: the NAAN and body come back verbatim.
+        assert split_ark("ark:/5x/0000/a/b") == ("5x", "0000/a/b")
+        with pytest.raises(MalformedPid):
+            split_ark(bad)
 
 
 class TestSerialize:

@@ -11,7 +11,7 @@ from arkslice.errors import (
     TooFewRows,
     UnknownNaan,
 )
-from arkslice.pid_grammar import parse_pid
+from arkslice.pid_grammar import split_ark
 from arkslice.resolver import (
     BETANUMERIC,
     Data,
@@ -192,7 +192,7 @@ class TestResolve:
         binding = app.minter.mint(target)
         redirect = app.resolver.resolve(NAAN, binding.noid)
         assert redirect.location.endswith(target)
-        followed = app.resolver.resolve_pid(parse_pid(target))
+        followed = app.resolver.resolve(*split_ark(target))
         direct = app.resolver.resolve(NAAN, f"{DATASET}.DWE.V+I@13332~13400")
         assert render_csv(followed.slice) == render_csv(direct.slice)
 
@@ -250,8 +250,8 @@ class TestCrossfold:
         seen_test: list[int] = []
         sizes = []
         for train_pid, test_pid in pairs:
-            train = app.resolver.resolve_pid(parse_pid(train_pid))
-            test = app.resolver.resolve_pid(parse_pid(test_pid))
+            train = app.resolver.resolve(*split_ark(train_pid))
+            test = app.resolver.resolve(*split_ark(test_pid))
             train_ts = {t for t, _ in train.slice.rows}
             test_ts = {t for t, _ in test.slice.rows}
             assert not train_ts & test_ts
