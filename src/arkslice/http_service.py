@@ -84,9 +84,18 @@ def json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
+# A mint body holds one URL or PID; a larger declared length is refused
+# before anything is read.
+MAX_BODY_BYTES = 64 * 1024
+WRITE_CHUNK_BYTES = 256 * 1024
+
+
 class ResolverHandler(BaseHTTPRequestHandler):
     server_version = "arkslice"
     app: App  # set on the server class per instance
+    # Seconds any one socket read or write may take, so a client that
+    # stalls mid-request or mid-reply releases its handler thread.
+    timeout = 30
 
     def log_message(self, fmt, *args):  # keep test output quiet
         pass
@@ -98,7 +107,11 @@ class ResolverHandler(BaseHTTPRequestHandler):
         for name, value in headers:
             self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(body)
+        # The socket timeout bounds each write as a whole, so a large body
+        # goes out in pieces: a slow reader is served, a stalled one cut.
+        view = memoryview(body)
+        for start in range(0, len(body), WRITE_CHUNK_BYTES):
+            self.wfile.write(view[start:start + WRITE_CHUNK_BYTES])
 
     def _error(self, status: int, message: str):
         self._send(status, "text/plain; charset=utf-8", (message + "\n").encode())
@@ -157,7 +170,16 @@ class ResolverHandler(BaseHTTPRequestHandler):
             length = -1
         if length < 0:
             raise InvalidTarget(f"bad Content-Length {declared!r}")
-        raw = self.rfile.read(length)
+        if length > MAX_BODY_BYTES:
+            raise InvalidTarget(
+                f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            )
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            raise InvalidTarget(
+                "request body shorter than its Content-Length"
+            ) from None
         try:
             doc = json.loads(raw) if raw else {}
         except json.JSONDecodeError:

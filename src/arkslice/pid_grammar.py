@@ -16,6 +16,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .errors import (
     BadNaan,
@@ -200,27 +203,68 @@ def serialize_pid(q: PidQuery) -> str:
     )
 
 
-def effective_key_set(sel: RangeSelector, domain: list[int]) -> list[int]:
+def _merged(spans) -> list[tuple[int, int]]:
+    """Sort ``[lo, hi)`` spans and merge those that overlap or touch."""
+    out: list[tuple[int, int]] = []
+    for lo, hi in sorted(spans):
+        if lo >= hi:
+            continue
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def _key_ranges(sel: RangeSelector, domain) -> list[tuple[int, int]]:
+    """The positions a selector keeps in a strictly increasing domain.
+
+    Returns disjoint, ascending ``[lo, hi)`` index ranges: the union of the
+    inclusive terms (the whole domain when there are none, or for the
+    wildcard) minus the union of the exclusive terms. Each term costs two
+    binary searches, so the work grows with the number of terms, not with
+    the domain. ``domain`` is any sorted sequence, a list or an int64
+    array; comparisons stay exact for bounds beyond 64 bits.
+    """
+    keep: list[tuple[int, int]] = []
+    drop: list[tuple[int, int]] = []
+    for t in sel.terms:  # the wildcard has none
+        span = (bisect_left(domain, t.start), bisect_right(domain, t.end))
+        (drop if t.exclude else keep).append(span)
+    keep = _merged(keep) if keep else [(0, len(domain))]
+    drop = _merged(drop)
+    out: list[tuple[int, int]] = []
+    j = 0
+    for lo, hi in keep:
+        while j < len(drop) and drop[j][1] <= lo:
+            j += 1
+        k = j
+        while k < len(drop) and drop[k][0] < hi:
+            dlo, dhi = drop[k]
+            if dlo > lo:
+                out.append((lo, dlo))
+            lo = dhi
+            k += 1
+        if lo < hi:
+            out.append((lo, hi))
+    return out
+
+
+def effective_key_set(sel: RangeSelector, domain):
     """Apply a selector to a strictly increasing timestamp domain.
 
     The result is the union of the inclusive terms intersected with the
     domain (all of it when there are none, or for the wildcard), minus the
     union of the exclusive terms. Both interval bounds are inclusive.
+    A list domain gives a list; an int64 array gives an array, a view of
+    the domain when one range is kept, so the domain is never copied.
     """
-    if sel.wildcard:
-        return list(domain)
-    inclusive = [t for t in sel.terms if not t.exclude]
-    exclusive = [t for t in sel.terms if t.exclude]
-    if inclusive:
-        keep: set[int] = set()
-        for t in inclusive:
-            lo = bisect_left(domain, t.start)
-            hi = bisect_right(domain, t.end)
-            keep.update(domain[lo:hi])
-    else:
-        keep = set(domain)
-    for t in exclusive:
-        lo = bisect_left(domain, t.start)
-        hi = bisect_right(domain, t.end)
-        keep.difference_update(domain[lo:hi])
-    return sorted(keep)
+    ranges = _key_ranges(sel, domain)
+    if not isinstance(domain, np.ndarray):
+        return list(chain.from_iterable(domain[lo:hi] for lo, hi in ranges))
+    if len(ranges) == 1:
+        lo, hi = ranges[0]
+        return domain[lo:hi]
+    if not ranges:
+        return domain[:0]
+    return np.concatenate([domain[lo:hi] for lo, hi in ranges])

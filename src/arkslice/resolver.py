@@ -274,13 +274,11 @@ class Resolver:
         if k < 2:
             raise TooFewRows("k must be at least 2")
         dataset = self.catalog.dataset(dataset_name)
-        keys: set[int] = set()
-        for s in sensors:
-            table = dataset.sensor(s)
+        tables = [dataset.sensor(s) for s in sensors]
+        for table in tables:
             for m in measurements:
                 table.column(m)
-            keys.update(table.key)
-        domain = sorted(keys)
+        domain = timeseries_store.sorted_union([t.index for t in tables])
         n = len(domain)
         if n < k:
             raise TooFewRows(f"{n} timestamps cannot make {k} folds")
@@ -291,9 +289,8 @@ class Resolver:
         naan = self.primary_naan
         for i in range(k):
             size = base + (1 if i < extra else 0)
-            block = domain[pos:pos + size]
+            first, last = int(domain[pos]), int(domain[pos + size - 1])
             pos += size
-            first, last = block[0], block[-1]
             test_q = PidQuery(
                 naan=naan,
                 dataset=dataset_name,

@@ -5,12 +5,26 @@ output bytes can match input bytes exactly; no numeric reformatting ever
 happens. Tables are immutable after load. Loading only parses and
 transposes: it never types a column (the catalog does that once, at
 register time, and persists the result).
+
+Each table also holds its keys as a sorted ``numpy.int64`` array, the key
+index, built once when the table is constructed. A select never walks a
+table: the selector becomes index ranges by binary search over the key
+index, several sensors are joined by ``searchsorted`` on the selected
+timestamps, and cells are gathered by tuple slices or ``itemgetter``. So a
+request costs O(log N + k) per sensor for N stored and k returned rows.
+The result is columnar (timestamps plus one cell tuple per output column)
+and is rendered column by column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Optional
+
+import numpy as np
 
 from .errors import (
     DuplicateTimestamp,
@@ -24,6 +38,12 @@ from .errors import (
 from .pid_grammar import PidQuery, effective_key_set
 from .type_registry import TypeDescriptor
 
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+# Shortest mean run of contiguous rows for which a select copies slices
+# rather than picking row by row: below it, finding the runs costs more
+# than itemgetter saves.
+RUN_ROWS = 256
+
 
 @dataclass(frozen=True)
 class SensorTable:
@@ -35,6 +55,11 @@ class SensorTable:
     # None from load_sensor_csv, which never types.
     columns: tuple[tuple[str, tuple[str, ...], Optional[TypeDescriptor]], ...]
     key_column_name: str = "timestamp"
+    # The keys as a sorted int64 array: what selects search.
+    index: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", np.array(self.key, dtype=np.int64))
 
     @property
     def row_count(self) -> int:
@@ -69,10 +94,18 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ResultSlice:
-    """A selected slice: header labels plus timestamp-sorted rows."""
+    """A selected slice, by column: header labels, the ascending
+    timestamps, and one cell tuple per column after the timestamp (a cell
+    is None where its sensor has no row at that timestamp)."""
 
     header: tuple[str, ...]
-    rows: tuple[tuple[int, tuple[Optional[str], ...]], ...]
+    timestamps: tuple[int, ...]
+    columns: tuple[tuple[Optional[str], ...], ...]
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, tuple[Optional[str], ...]], ...]:
+        """The slice row by row, as ``(timestamp, cells)`` pairs."""
+        return tuple(zip(self.timestamps, zip(*self.columns)))
 
 
 def load_sensor_csv(path, sensor_name: str) -> SensorTable:
@@ -116,6 +149,11 @@ def load_sensor_csv(path, sensor_name: str) -> SensorTable:
         rows.append((ts, fields[1:]))
 
     rows.sort(key=lambda r: r[0])
+    for ts in (rows[0][0], rows[-1][0]) if rows else ():
+        if not INT64_MIN <= ts <= INT64_MAX:
+            raise NonIntegerTimestamp(
+                f"{path}: timestamp {ts} does not fit in int64"
+            )
     for (a, _), (b, _) in zip(rows, rows[1:]):
         if a == b:
             raise DuplicateTimestamp(f"{path}: timestamp {a} appears twice")
@@ -133,6 +171,76 @@ def load_sensor_csv(path, sensor_name: str) -> SensorTable:
     )
 
 
+def sorted_union(arrays: list[np.ndarray]) -> np.ndarray:
+    """The sorted union of strictly increasing int64 arrays.
+
+    A stable sort merges the concatenated sorted runs in linear time,
+    unlike ``np.union1d``, which hashes.
+    """
+    if len(arrays) == 1:
+        return arrays[0]
+    if not arrays:
+        return np.empty(0, dtype=np.int64)
+    merged = np.sort(np.concatenate(arrays), kind="stable")
+    if not len(merged):
+        return merged
+    return merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
+
+
+def _getter(positions: list[int]) -> Callable[[tuple], tuple]:
+    """The cells at ``positions`` of a column, as a tuple."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda cells: (cells[i],)
+    if not positions:
+        return lambda cells: ()
+    return itemgetter(*positions)
+
+
+def _gather(pos: np.ndarray) -> Callable[[tuple], tuple]:
+    """A function giving a column's cells at the ascending positions
+    ``pos``: tuple slices where the positions form long contiguous runs
+    (a range selector over one sensor), ``itemgetter`` where they are
+    scattered."""
+    breaks = np.flatnonzero(np.diff(pos) != 1) + 1 if len(pos) >= RUN_ROWS else ()
+    if len(pos) < RUN_ROWS * (len(breaks) + 1):
+        return _getter(pos.tolist())
+    firsts = np.concatenate((pos[:1], pos[breaks]))
+    ends = np.concatenate((pos[breaks - 1], pos[-1:])) + 1
+    runs = [slice(a, b) for a, b in zip(firsts.tolist(), ends.tolist())]
+    if len(runs) == 1:
+        (run,) = runs
+        return lambda cells: cells[run]
+
+    def gather(cells):
+        out = []
+        for run in runs:
+            out += cells[run]
+        return tuple(out)
+
+    return gather
+
+
+def _picker(index: np.ndarray, ts: np.ndarray) -> Callable[[tuple], tuple]:
+    """A function giving a column's cells at the timestamps ``ts``: the
+    cell of the row keyed by each timestamp, None where there is none.
+
+    One ``searchsorted`` and an equality mask find the rows, so the work
+    grows with ``len(ts)``, not with the table.
+    """
+    pos = index.searchsorted(ts)
+    if len(index):
+        hit = index.take(pos, mode="clip") == ts
+    else:
+        hit = np.zeros(len(ts), dtype=bool)
+    if hit.all():
+        return _gather(pos)
+    pick = _gather(pos[hit])
+    # Position 0 of (None,) + picked cells stands for every absent row.
+    fill = _getter((np.cumsum(hit) * hit).tolist())
+    return lambda cells: fill((None,) + pick(cells))
+
+
 def select(dataset: Dataset, q: PidQuery) -> ResultSlice:
     """Execute a parsed PID against a dataset.
 
@@ -147,36 +255,26 @@ def select(dataset: Dataset, q: PidQuery) -> ResultSlice:
         for m in q.measurements:
             table.column(m)
 
-    selected: set[int] = set()
-    for table in tables:
-        selected.update(effective_key_set(q.selector, list(table.key)))
-    timestamps = sorted(selected)
-
+    ts = sorted_union(
+        [effective_key_set(q.selector, table.index) for table in tables]
+    )
     single = len(tables) == 1
     header = ["timestamp"]
-    col_data: list[tuple[dict[int, int], tuple[str, ...]]] = []
+    columns = []
     for table in tables:
-        index = {ts: i for i, ts in enumerate(table.key)}
+        # One sensor's selected keys are all its own: no misses to look for.
+        pick = (_gather(table.index.searchsorted(ts)) if single
+                else _picker(table.index, ts))
         for m in q.measurements:
-            label = m if single else f"{table.sensor_name}.{m}"
-            header.append(label)
-            col_data.append((index, table.column(m)))
-
-    rows = []
-    for ts in timestamps:
-        cells = []
-        for index, values in col_data:
-            i = index.get(ts)
-            cells.append(values[i] if i is not None else None)
-        rows.append((ts, tuple(cells)))
-    return ResultSlice(header=tuple(header), rows=tuple(rows))
+            header.append(m if single else f"{table.sensor_name}.{m}")
+            columns.append(pick(table.column(m)))
+    return ResultSlice(header=tuple(header), timestamps=tuple(ts.tolist()),
+                       columns=tuple(columns))
 
 
 def render_csv(result: ResultSlice) -> str:
     """Render a ResultSlice as CSV text, one '\\n' after every line."""
-    lines = [",".join(result.header)]
-    for ts, cells in result.rows:
-        lines.append(
-            ",".join([str(ts)] + [c if c is not None else "" for c in cells])
-        )
-    return "".join(line + "\n" for line in lines)
+    columns = [[c or "" for c in cells] if None in cells else cells
+               for cells in result.columns]
+    lines = map(",".join, zip(map(str, result.timestamps), *columns))
+    return "\n".join(chain((",".join(result.header),), lines)) + "\n"

@@ -1,6 +1,8 @@
 import hashlib
 import http.client
 import json
+import socket
+import time
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import requests
 
 import oracle
+from arkslice.http_service import start_background
 from conftest import DATASET, NAAN
 
 
@@ -212,3 +215,44 @@ def test_canonical_url_shape(live_server):
     url = f"{base}/{pid}"
     assert url.split(base + "/", 1)[1] == pid
     assert requests.get(url).status_code == 200
+
+
+def test_bound_beyond_int64_selects_nothing(live_server):
+    _, base = live_server
+    r = requests.get(f"{base}/ark:/{NAAN}/{DATASET}.DWE.V@99999999999999999999999")
+    assert (r.status_code, r.text) == (200, "timestamp,V\n")
+
+
+def raw_exchange(port: int, request: bytes, timeout: float) -> bytes:
+    """Send raw request bytes; return the reply read until the server closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestMintBodyBounds:
+    def test_huge_content_length_is_400(self, live_server):
+        app, _ = live_server
+        request = b"POST /mint HTTP/1.0\r\nContent-Length: 1099511627776\r\n\r\n"
+        reply = raw_exchange(app.config.port, request, timeout=10)
+        assert reply.startswith(b"HTTP/1.0 400 ")
+        assert reply.endswith(b"exceeds 65536\n")
+        assert app.minter.bindings == {}
+
+    def test_stalled_body_gets_a_reply(self, app):
+        server, _ = start_background(app)
+        server.RequestHandlerClass.timeout = 0.5
+        body = b'{"target": "http://x.org/"}'  # 27 of the declared 100 bytes
+        request = b"POST /mint HTTP/1.0\r\nContent-Length: 100\r\n\r\n" + body
+        try:
+            started = time.monotonic()
+            reply = raw_exchange(server.server_address[1], request, timeout=2)
+            assert time.monotonic() - started < 2
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert reply.startswith(b"HTTP/1.0 400 ")
+        assert app.minter.bindings == {}

@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +15,15 @@ from arkslice.errors import (
     UnknownMeasurement,
     UnknownSensor,
 )
-from arkslice.pid_grammar import PidQuery, RangeSelector, RangeTerm, parse_pid
+from arkslice.pid_grammar import (
+    PidQuery,
+    RangeSelector,
+    RangeTerm,
+    effective_key_set,
+    parse_pid,
+)
 from arkslice.timeseries_store import (
+    RUN_ROWS,
     Dataset,
     SensorTable,
     load_sensor_csv,
@@ -76,6 +85,20 @@ class TestLoad:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
             load_sensor_csv(tmp_path / "nope.csv", "DWE")
+
+    @pytest.mark.parametrize("ts", [2**63, -(2**63) - 1, 10**30])
+    def test_timestamp_beyond_int64(self, tmp_path, ts):
+        path = write_csv(tmp_path, f"ts,V\n1,x\n{ts},y\n")
+        with pytest.raises(NonIntegerTimestamp):
+            load_sensor_csv(path, "DWE")
+
+    def test_int64_extremes_load(self, tmp_path):
+        lo, hi = -(2**63), 2**63 - 1
+        path = write_csv(tmp_path, f"ts,V\n{hi},y\n{lo},x\n")
+        table = load_sensor_csv(path, "DWE")
+        assert table.key == (lo, hi)
+        q = parse_pid(f"ark:/57460/D.DWE.V@{hi}")
+        assert select(Dataset("D", {"DWE": table}), q).rows == ((hi, ("y",)),)
 
     def test_empty_cells_preserved(self, tmp_path):
         path = write_csv(tmp_path, "ts,V,I\n1,,3.0\n2,4.5,\n")
@@ -207,3 +230,135 @@ def test_select_matches_brute_force(table, sel):
                  measurements=("V", "I"), selector=sel)
     result = select(ds, q)
     assert [(t, c) for t, c in result.rows] == brute_force_rows(table, sel)
+
+
+def test_select_copies_long_runs():
+    """Exclusions that leave a few long runs of rows, gathered by slices."""
+    n = 4 * RUN_ROWS
+    table = table_of("S1", [(t, {"V": f"v{t}", "I": str(t)}) for t in range(n)])
+    sel = RangeSelector.of(RangeTerm(RUN_ROWS, RUN_ROWS + 9, exclude=True),
+                           RangeTerm(2 * RUN_ROWS, 2 * RUN_ROWS, exclude=True))
+    ds = Dataset(name="D", sensors={"S1": table})
+    q = PidQuery(naan=NAAN, dataset="D", sensors=("S1",),
+                 measurements=("V", "I"), selector=sel)
+    assert list(select(ds, q).rows) == brute_force_rows(table, sel)
+
+
+# --- multi-sensor joins against a brute-force CSV ---
+
+MEASUREMENTS = ("V", "I")
+
+
+@st.composite
+def join_cases(draw):
+    """2-3 tables with partly overlapping keys, a measurement subset, and a
+    selector whose terms may touch, overlap or leave a one-key gap.
+
+    Keys and bounds are drawn over blocks of ``width`` consecutive
+    timestamps: 31 blocks of width 1 put every edge case on single keys,
+    6 of width ``RUN_ROWS`` give runs long enough for selects to copy
+    slices.
+    """
+    width, blocks_per_table = draw(st.sampled_from([(1, 31), (RUN_ROWS, 6)]))
+    names = draw(st.permutations(["S1", "S2", "S3"]))[:draw(st.integers(2, 3))]
+    tables = {}
+    for name in names:
+        # About three blocks in four, so terms' edges and gaps usually
+        # fall on keys.
+        mask = draw(st.lists(st.integers(0, 3), min_size=blocks_per_table,
+                             max_size=blocks_per_table))
+        keys = [b * width + i for b, m in enumerate(mask) if m for i in range(width)]
+        tables[name] = SensorTable(
+            sensor_name=name,
+            key=tuple(keys),
+            columns=tuple(
+                (m, tuple(f"{name}{m}{t}" for t in keys), None)
+                for m in MEASUREMENTS
+            ),
+        )
+    measurements = draw(
+        st.lists(st.sampled_from(MEASUREMENTS), min_size=1, max_size=2, unique=True)
+    )
+    if draw(st.booleans()):
+        sel = RangeSelector.all_rows()
+    else:
+        blocks = []  # (start, end) of each term, in blocks
+        terms = []
+        for _ in range(draw(st.sampled_from([1, 2, 3, 4]))):
+            start = draw(st.integers(0, blocks_per_table + 1))
+            if blocks:
+                prev_start, prev_end = blocks[-1]
+                start = draw(st.sampled_from([
+                    start, prev_end + 1, prev_end + 2,
+                    (prev_start + prev_end) // 2,
+                ]))
+            end = start + draw(st.integers(0, blocks_per_table // 3))
+            blocks.append((start, end))
+            terms.append(RangeTerm(start * width, end * width + width - 1,
+                                   draw(st.booleans())))
+        sel = RangeSelector(terms=tuple(terms))
+    return tables, tuple(names), tuple(measurements), sel
+
+
+def keeps(sel, t):
+    if sel.wildcard:
+        return True
+    incl = [x for x in sel.terms if not x.exclude]
+    if incl and not any(x.start <= t <= x.end for x in incl):
+        return False
+    return not any(x.start <= t <= x.end for x in sel.terms if x.exclude)
+
+
+def brute_force_csv(tables, sensors, measurements, sel):
+    """Row-by-row join: every kept timestamp of any sensor, one cell per
+    sensor and measurement, empty where that sensor has no row."""
+    rows = {
+        s: {
+            t: {name: cells[i] for name, cells, _ in tables[s].columns}
+            for i, t in enumerate(tables[s].key)
+        }
+        for s in sensors
+    }
+    stamps = sorted({t for s in sensors for t in rows[s] if keeps(sel, t)})
+    single = len(sensors) == 1
+    lines = [["timestamp"] + [m if single else f"{s}.{m}"
+                              for s in sensors for m in measurements]]
+    for t in stamps:
+        lines.append([str(t)] + [rows[s][t][m] if t in rows[s] else ""
+                                 for s in sensors for m in measurements])
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+@given(join_cases())
+@settings(max_examples=300)
+def test_join_matches_brute_force(case):
+    tables, sensors, measurements, sel = case
+    q = PidQuery(naan=NAAN, dataset="D", sensors=sensors,
+                 measurements=measurements, selector=sel)
+    got = render_csv(select(Dataset(name="D", sensors=tables), q))
+    want = brute_force_csv(tables, sensors, measurements, sel)
+    # Compared as lists of lines: pytest explains a list mismatch by its
+    # first differing line, where a diff of two long strings takes minutes.
+    assert got.splitlines(True) == want.splitlines(True)
+    for table in tables.values():
+        domain = list(table.key)
+        as_array = effective_key_set(sel, np.array(domain, dtype=np.int64))
+        assert as_array.tolist() == effective_key_set(sel, domain)
+
+
+def test_point_select_memory_follows_rows_returned():
+    """A 1-row select out of 1M rows allocates for the row, not the table."""
+    n = 1_000_000
+    table = SensorTable(sensor_name="S1", key=tuple(range(n)),
+                        columns=(("V", ("1.5",) * n, None),))
+    ds = Dataset(name="D", sensors={"S1": table})
+    q = parse_pid("ark:/57460/D.S1.V@500000")
+    select(ds, q)  # warm-up
+    tracemalloc.start()
+    try:
+        result = select(ds, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.rows == ((500000, ("1.5",)),)
+    assert peak < 1_000_000
