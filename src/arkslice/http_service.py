@@ -3,6 +3,16 @@
 Built on the stdlib threading HTTP server so the raw request path reaches
 the PID grammar untouched: ``+`` stays a literal plus (never form-decoded)
 and only ``%XX`` escapes are percent-decoded before parsing.
+
+Connections are persistent HTTP/1.1: a client sends request after request
+on one connection, and each reply leaves in one write (status line,
+headers and the first 256 KiB of the body) with Nagle's algorithm off.
+The server closes a connection, saying ``Connection: close`` first, when
+it can no longer tell where the next request starts (a request body it
+did not read in full, or any ``Transfer-Encoding``), when a reply fails
+part-way (nothing more is written after it), when the client asks, and
+after 30 s idle. An HTTP/1.0 request gets an HTTP/1.0 reply and the
+connection closed after it, as before.
 """
 
 from __future__ import annotations
@@ -92,13 +102,36 @@ WRITE_CHUNK_BYTES = 256 * 1024
 
 class ResolverHandler(BaseHTTPRequestHandler):
     server_version = "arkslice"
+    protocol_version = "HTTP/1.1"
+    # A reply is one write, so Nagle's algorithm would only hold back the
+    # last piece of a large body until the client's delayed ACK.
+    disable_nagle_algorithm = True
     app: App  # set on the server class per instance
     # Seconds any one socket read or write may take, so a client that
-    # stalls mid-request or mid-reply releases its handler thread.
+    # stalls mid-request or mid-reply, or idles between requests,
+    # releases its handler thread.
     timeout = 30
 
     def log_message(self, fmt, *args):  # keep test output quiet
         pass
+
+    def send_response_only(self, code, message=None):
+        if self.request_version < "HTTP/1.1":
+            # An HTTP/1.0 client, or one whose request line did not parse,
+            # gets the reply it always got: an HTTP/1.0 status line and the
+            # connection closed after it, even when it asked for keep-alive.
+            # A handler serves one connection, so this ends with it.
+            self.protocol_version = "HTTP/1.0"
+            self.close_connection = True
+        super().send_response_only(code, message)
+
+    def _body_unread(self) -> bool:
+        """Whether request body bytes may be left on the connection, so the
+        start of the next request cannot be found."""
+        lengths = self.headers.get_all("Content-Length", [])
+        if "Transfer-Encoding" in self.headers or len(lengths) > 1:
+            return True
+        return not self._body_read and lengths not in ([], ["0"])
 
     def _send(self, status: int, content_type: str, body: bytes, headers=()):
         self.send_response(status)
@@ -106,12 +139,25 @@ class ResolverHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in headers:
             self.send_header(name, value)
-        self.end_headers()
-        # The socket timeout bounds each write as a whole, so a large body
-        # goes out in pieces: a slow reader is served, a stalled one cut.
+        if self._body_unread():
+            self.close_connection = True
+        if self.close_connection and self.protocol_version == "HTTP/1.1":
+            self.send_header("Connection", "close")
+        # The head leaves with the first piece of the body. The socket
+        # timeout bounds each write as a whole, so a large body goes out in
+        # pieces: a slow reader is served, a stalled one cut.
         view = memoryview(body)
-        for start in range(0, len(body), WRITE_CHUNK_BYTES):
+        self._reply_started = True
+        self.wfile.write(self._take_head() + view[:WRITE_CHUNK_BYTES])
+        for start in range(WRITE_CHUNK_BYTES, len(body), WRITE_CHUNK_BYTES):
             self.wfile.write(view[start:start + WRITE_CHUNK_BYTES])
+
+    def _take_head(self) -> bytes:
+        """The status line and headers ``end_headers`` would write, ended by
+        the blank line; nothing for an HTTP/0.9 request, which has none."""
+        lines = getattr(self, "_headers_buffer", [])
+        self._headers_buffer = []
+        return b"".join(lines) + b"\r\n" if lines else b""
 
     def _error(self, status: int, message: str):
         self._send(status, "text/plain; charset=utf-8", (message + "\n").encode())
@@ -121,15 +167,24 @@ class ResolverHandler(BaseHTTPRequestHandler):
         return unquote(raw), query
 
     def _respond(self, route) -> None:
-        """Run ``route(path, query)``; every failure becomes a status line."""
+        """Run ``route(path, query)``; a failure before the reply starts
+        becomes a status line, one after it closes the connection."""
         path, query = self._split_target()
+        self._body_read = False
+        self._reply_started = False
         try:
             route(path, query)
-        except ArksliceError as exc:
-            self._error(exc.http_status, str(exc))
-        except Exception:
-            _log.exception("error serving %s %s", self.command, self.path)
-            self._error(500, "internal error")
+        except Exception as exc:
+            if self._reply_started:
+                # A second status line would land inside the first reply's
+                # body, so nothing more is written on this connection.
+                _log.exception("error replying to %s %s", self.command, self.path)
+                self.close_connection = True
+            elif isinstance(exc, ArksliceError):
+                self._error(exc.http_status, str(exc))
+            else:
+                _log.exception("error serving %s %s", self.command, self.path)
+                self._error(500, "internal error")
 
     def do_GET(self):
         self._respond(self._get)
@@ -177,9 +232,10 @@ class ResolverHandler(BaseHTTPRequestHandler):
         try:
             raw = self.rfile.read(length)
         except TimeoutError:
-            raise InvalidTarget(
-                "request body shorter than its Content-Length"
-            ) from None
+            raw = b""
+        if len(raw) != length:
+            raise InvalidTarget("request body shorter than its Content-Length")
+        self._body_read = True
         try:
             doc = json.loads(raw) if raw else {}
         except json.JSONDecodeError:

@@ -1,7 +1,11 @@
 import hashlib
 import http.client
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -9,9 +13,11 @@ import pytest
 
 import requests
 
+import arkslice
 import oracle
+from arkslice import http_service
 from arkslice.http_service import start_background
-from conftest import DATASET, NAAN
+from conftest import DATASET, NAAN, write_fixture
 
 
 def state_digest(state_dir: Path) -> str:
@@ -256,3 +262,283 @@ class TestMintBodyBounds:
             server.server_close()
         assert reply.startswith(b"HTTP/1.0 400 ")
         assert app.minter.bindings == {}
+
+
+HEALTH = b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n"
+
+
+def read_response(reader) -> tuple[bytes, bytes]:
+    """Read exactly one response from a socket's binary ``makefile`` by its
+    Content-Length and return its head and body. The socket's timeout
+    bounds every read, so a connection wrongly left open fails fast."""
+    lines = [reader.readline()]
+    while lines[-1] not in (b"\r\n", b""):
+        lines.append(reader.readline())
+    head = b"".join(lines)
+    assert head.endswith(b"\r\n\r\n"), f"connection closed mid-head: {head!r}"
+    (length,) = [int(line.split(b":", 1)[1]) for line in lines
+                 if line.lower().startswith(b"content-length:")]
+    body = reader.read(length)
+    assert len(body) == length, f"connection closed mid-body: {head!r}"
+    return head, body
+
+
+def at_eof(reader) -> bool:
+    """Whether the server has closed the connection (a reset counts)."""
+    try:
+        return reader.read(1) == b""
+    except ConnectionResetError:
+        return True
+
+
+def one_reply_then_eof(port: int, request: bytes, timeout: float = 5) -> bytes:
+    """Send ``request`` followed by a pipelined ``GET /health``; assert the
+    server answers the first only and closes; return that reply's head."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(request + HEALTH)
+        reader = sock.makefile("rb")
+        head, _ = read_response(reader)
+        assert at_eof(reader), f"a second reply followed {head!r}"
+    if head.startswith(b"HTTP/1.1 "):  # a persistent reply must warn first
+        assert b"\r\nConnection: close\r\n" in head
+    return head
+
+
+class CountingConnection(http.client.HTTPConnection):
+    connects = 0
+
+    def connect(self):
+        self.connects += 1
+        super().connect()
+
+
+class TestPersistentConnections:
+    def test_one_connection_carries_every_kind_of_request(self, live_server,
+                                                          data_dir):
+        app, base = live_server
+        pid = f"ark:/{NAAN}/{DATASET}.HPE+DWE+WOE.V+I@13332~13400+24300~25500"
+        conn = CountingConnection("127.0.0.1", app.config.port, timeout=5)
+
+        def call(method, path, body=None):
+            headers = {"Content-Type": "application/json"} if body else {}
+            conn.request(method, path, body=body, headers=headers)
+            resp = conn.getresponse()
+            return resp.status, resp.read(), resp.getheader("Location")
+
+        try:
+            status, body, _ = call("GET", f"/{pid}")
+            assert (status, body.decode()) == (200, oracle.resolve_csv(data_dir, pid))
+            status, body, _ = call("GET", f"/{pid}?info")
+            assert status == 200 and json.loads(body)["sensors"]
+            status, body, _ = call("POST", "/mint", json.dumps({"target": pid}))
+            assert status == 201
+            status, _, location = call("GET", "/" + json.loads(body)["ark"])
+            assert (status, location) == (302, f"{base}/{pid}")
+            assert call("GET", "/nope")[0] == 404
+            assert call("GET", f"/ark:/{NAAN}/{DATASET}.DWE.V@13400~13332")[0] == 400
+        finally:
+            conn.close()
+        assert conn.connects == 1
+
+    @pytest.mark.parametrize("request_bytes", [
+        pytest.param(b"POST /crawl HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+                     id="crawl-empty-body"),
+        pytest.param(b"POST /mint HTTP/1.1\r\nContent-Length: 27\r\n\r\n"
+                     b'{"target": "http://x.org/"}', id="mint"),
+        pytest.param(b"POST /mint HTTP/1.1\r\nContent-Length: 8\r\n\r\nnot json",
+                     id="mint-bad-json"),
+        pytest.param(b"GET /nope HTTP/1.1\r\n\r\n", id="unknown-path"),
+    ])
+    def test_request_read_in_full_keeps_the_connection(self, live_server,
+                                                       request_bytes):
+        app, _ = live_server
+        with socket.create_connection(("127.0.0.1", app.config.port),
+                                      timeout=5) as sock:
+            sock.sendall(request_bytes + HEALTH)
+            reader = sock.makefile("rb")
+            head, _ = read_response(reader)
+            assert head.startswith(b"HTTP/1.1 ")
+            assert b"\r\nConnection:" not in head
+            head, body = read_response(reader)
+            assert head.startswith(b"HTTP/1.1 200 ") and body == b"ok\n"
+
+    @pytest.mark.parametrize("request_bytes, status_line", [
+        pytest.param(b"GET /health HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+                     b"HTTP/1.0 200 OK\r\n", id="keep-alive-asked"),
+        pytest.param(b"GET /health HTTP/1.0\r\n"
+                     + b"".join(b"X-%d: y\r\n" % i for i in range(101)) + b"\r\n",
+                     b"HTTP/1.0 431 Too many headers\r\n", id="headers-refused"),
+    ])
+    def test_http10_reply_is_unchanged_and_closes(self, live_server,
+                                                  request_bytes, status_line):
+        app, _ = live_server
+        head = one_reply_then_eof(app.config.port, request_bytes)
+        assert head.startswith(status_line)
+        # As before, only the stdlib's own error replies name the connection.
+        assert (b"\r\nConnection: close\r\n" in head) == (b" 431 " in status_line)
+
+    def test_idle_connection_closes_after_timeout(self, app):
+        server, _ = start_background(app)
+        server.RequestHandlerClass.timeout = 0.3
+        try:
+            with socket.create_connection(server.server_address, timeout=5) as sock:
+                reader = sock.makefile("rb")
+                for _ in range(2):
+                    sock.sendall(HEALTH)
+                    assert read_response(reader)[1] == b"ok\n"
+                started = time.monotonic()
+                assert at_eof(reader)
+                assert time.monotonic() - started < 2
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_shutdown_does_not_wait_for_an_idle_connection(self, app):
+        server, thread = start_background(app)
+        with socket.create_connection(server.server_address, timeout=5) as sock:
+            sock.sendall(HEALTH)
+            read_response(sock.makefile("rb"))
+            started = time.monotonic()
+            server.shutdown()
+            server.server_close()
+            assert time.monotonic() - started < 1
+        thread.join(1)
+        assert not thread.is_alive()
+
+
+class TestUntrustedBodyCloses:
+    """A request body the server did not read in full leaves bytes that
+    could be taken for the next request: the reply says it closes, and a
+    request pipelined behind the body is never answered."""
+
+    @pytest.mark.parametrize("request_bytes", [
+        pytest.param(b"POST /mint HTTP/1.1\r\nContent-Length: 70000\r\n\r\n"
+                     + b"x" * 70000, id="mint-over-64KiB"),
+        pytest.param(b"POST /crawl HTTP/1.1\r\nContent-Length: 33\r\n\r\n"
+                     b'{"target": "http://x.org/a/b/c"}\n', id="crawl-with-body"),
+        pytest.param(b"POST /mint HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                     b"1b\r\n" b'{"target": "http://x.org/"}' b"\r\n0\r\n\r\n",
+                     id="mint-chunked"),
+        pytest.param(b"POST /mint HTTP/1.1\r\nContent-Length: abc\r\n\r\n"
+                     b'{"target": "http://x.org/"}', id="mint-length-abc"),
+        pytest.param(b"POST /mint HTTP/1.1\r\nContent-Length: -1\r\n\r\n"
+                     b'{"target": "http://x.org/"}', id="mint-length-negative"),
+        pytest.param(b"POST /mint HTTP/1.1\r\nContent-Length: 27\r\n"
+                     b"Content-Length: 0\r\n\r\n" b'{"target": "http://x.org/"}',
+                     id="mint-two-lengths"),
+        pytest.param(b"POST /nope HTTP/1.1\r\nContent-Length: 27\r\n\r\n"
+                     b'{"target": "http://x.org/"}', id="unknown-path-with-body"),
+        pytest.param(b"GET /health HTTP/1.1\r\nContent-Length: 27\r\n\r\n"
+                     b'{"target": "http://x.org/"}', id="get-with-body"),
+    ])
+    def test_reply_then_close(self, live_server, request_bytes):
+        app, _ = live_server
+        one_reply_then_eof(app.config.port, request_bytes)
+
+    def test_stalled_body(self, app):
+        server, _ = start_background(app)
+        server.RequestHandlerClass.timeout = 0.3
+        request = (b"POST /mint HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+                   b'{"target": "http://x.org/"}')
+        try:
+            head = one_reply_then_eof(server.server_address[1], request)
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert head.split(b" ", 2)[1] == b"400"
+        assert app.minter.bindings == {}
+
+    def test_body_cut_short_by_the_client_is_400(self, live_server):
+        app, _ = live_server
+        with socket.create_connection(("127.0.0.1", app.config.port),
+                                      timeout=5) as sock:
+            sock.sendall(b"POST /mint HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+                         b'{"target": "http://x.org/"}')
+            sock.shutdown(socket.SHUT_WR)
+            reader = sock.makefile("rb")
+            head, body = read_response(reader)
+            assert at_eof(reader)
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert body == b"request body shorter than its Content-Length\n"
+        assert app.minter.bindings == {}
+
+
+class SecondWriteTimesOut:
+    """A handler's ``wfile`` whose second write raises, as a socket timeout
+    part-way through a reply does."""
+
+    def __init__(self, wfile):
+        self._wfile = wfile
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            raise TimeoutError("timed out")
+        return self._wfile.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._wfile, name)
+
+
+def test_reply_failing_midway_is_cut_not_followed(app, monkeypatch, caplog):
+    monkeypatch.setattr(http_service, "WRITE_CHUNK_BYTES", 1024)
+    server, _ = start_background(app)
+    handler = server.RequestHandlerClass
+    setup = handler.setup
+
+    def faulty_setup(self):
+        setup(self)
+        self.wfile = SecondWriteTimesOut(self.wfile)
+
+    handler.setup = faulty_setup
+    pid = f"ark:/{NAAN}/{DATASET}.HPE+DWE+WOE.V+I@*"
+    request = f"GET /{pid} HTTP/1.1\r\nHost: test\r\n\r\n".encode() + HEALTH
+    try:
+        reply = raw_exchange(server.server_address[1], request, timeout=5)
+    finally:
+        server.shutdown()
+        server.server_close()
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.split(b"\r\n", 1)[0].endswith(b" 200 OK")
+    assert reply.count(b"HTTP/1.") == 1  # no 500, no answer to /health
+    (length,) = [int(line.split(b":")[1]) for line in head.split(b"\r\n")
+                 if line.startswith(b"Content-Length:")]
+    assert 0 < len(body) < length  # cut where it failed, visibly short
+    assert any(r.exc_info and r.exc_info[0] is TimeoutError
+               for r in caplog.records)
+
+
+def test_serve_exits_on_sigint_with_an_idle_connection(tmp_path):
+    data_root = tmp_path / "data"
+    write_fixture(data_root)
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "port": port, "naans": [NAAN], "state_dir": str(tmp_path / "state"),
+        "sources": [{"id": "local", "root": str(data_root)}],
+    }))
+    env = {**os.environ, "PYTHONPATH": str(Path(arkslice.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "arkslice.cli", "--config", str(config), "serve"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while True:
+            try:
+                sock = socket.create_connection(("127.0.0.1", port), timeout=5)
+                break
+            except ConnectionRefusedError:
+                assert time.monotonic() < deadline and proc.poll() is None
+                time.sleep(0.05)
+        with sock:
+            sock.sendall(HEALTH)
+            assert read_response(sock.makefile("rb"))[1] == b"ok\n"
+            proc.send_signal(signal.SIGINT)
+            proc.wait(timeout=5)
+    finally:
+        proc.kill()
+        proc.wait()
