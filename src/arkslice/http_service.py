@@ -12,18 +12,22 @@ it can no longer tell where the next request starts (a request body it
 did not read in full, or any ``Transfer-Encoding``), when a reply fails
 part-way (nothing more is written after it), when the client asks, and
 after 30 s idle. An HTTP/1.0 request gets an HTTP/1.0 reply and the
-connection closed after it, as before.
+connection closed after it, as before. ``Expect: 100-continue`` is
+honoured only for a mint body the server will read; any other gets a 417
+and a close. A redirect's ``Location`` is percent-encoded outside
+printable ASCII, so no request or minted target can add to the head.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import re
 import threading
 from dataclasses import asdict, dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from urllib.parse import unquote, parse_qs
+from urllib.parse import parse_qs, quote, unquote
 
 from .catalog import Catalog, DataSource
 from .errors import ArksliceError, InvalidTarget, NotFound
@@ -94,6 +98,20 @@ def json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
+_NOT_PRINTABLE_ASCII = re.compile(r"[^ -~]")
+
+
+def header_safe_url(url: str) -> str:
+    """``url`` with every character outside printable ASCII percent-encoded
+    as UTF-8. A redirect's suffix is percent-decoded from the request path
+    and a minted target is any string the URL pattern lets through, so
+    either may hold a CR or LF that would end the reply's head early, or a
+    character the head's latin-1 cannot carry. A lone surrogate, which no
+    URL can hold, becomes ``%3F``."""
+    return _NOT_PRINTABLE_ASCII.sub(
+        lambda m: quote(m.group(), safe="", errors="replace"), url)
+
+
 # A mint body holds one URL or PID; a larger declared length is refused
 # before anything is read.
 MAX_BODY_BYTES = 64 * 1024
@@ -124,6 +142,22 @@ class ResolverHandler(BaseHTTPRequestHandler):
             self.protocol_version = "HTTP/1.0"
             self.close_connection = True
         super().send_response_only(code, message)
+
+    def handle_expect_100(self):
+        """Invite the body only of a mint that will read all of it. Any
+        other ``Expect: 100-continue`` gets a 417 and the connection closed,
+        so no client is asked for a body the server would leave unread."""
+        lengths = self.headers.get_all("Content-Length", [])
+        if (self.command == "POST" and self._split_target()[0] == "/mint"
+                and "Transfer-Encoding" not in self.headers
+                and len(lengths) == 1 and lengths[0].isdecimal()
+                and int(lengths[0]) <= MAX_BODY_BYTES):
+            return super().handle_expect_100()
+        self.close_connection = True
+        self._body_read = False
+        self._error(417, "100-continue is offered only for a mint body of "
+                         f"at most {MAX_BODY_BYTES} bytes")
+        return False
 
     def _body_unread(self) -> bool:
         """Whether request body bytes may be left on the connection, so the
@@ -168,7 +202,7 @@ class ResolverHandler(BaseHTTPRequestHandler):
 
     def _respond(self, route) -> None:
         """Run ``route(path, query)``; a failure before the reply starts
-        becomes a status line, one after it closes the connection."""
+        becomes the only status line, one after it closes the connection."""
         path, query = self._split_target()
         self._body_read = False
         self._reply_started = False
@@ -180,7 +214,10 @@ class ResolverHandler(BaseHTTPRequestHandler):
                 # body, so nothing more is written on this connection.
                 _log.exception("error replying to %s %s", self.command, self.path)
                 self.close_connection = True
-            elif isinstance(exc, ArksliceError):
+                return
+            # A head half built when the failure came is dropped with it.
+            self._headers_buffer = []
+            if isinstance(exc, ArksliceError):
                 self._error(exc.http_status, str(exc))
             else:
                 _log.exception("error serving %s %s", self.command, self.path)
@@ -209,7 +246,7 @@ class ResolverHandler(BaseHTTPRequestHandler):
         result = self.app.resolver.resolve(*split_ark(path[1:]), info=info)
         if isinstance(result, Redirect):
             self._send(result.status, "text/plain; charset=utf-8", b"",
-                       headers=[("Location", result.location)])
+                       headers=[("Location", header_safe_url(result.location))])
         elif isinstance(result, Info):
             self._send(200, "application/json; charset=utf-8",
                        json_bytes(result.document))

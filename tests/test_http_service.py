@@ -265,6 +265,7 @@ class TestMintBodyBounds:
 
 
 HEALTH = b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n"
+HEALTH_THEN_CLOSE = b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n"
 
 
 def read_response(reader) -> tuple[bytes, bytes]:
@@ -460,6 +461,97 @@ class TestUntrustedBodyCloses:
             assert at_eof(reader)
         assert head.startswith(b"HTTP/1.1 400 ")
         assert body == b"request body shorter than its Content-Length\n"
+        assert app.minter.bindings == {}
+
+
+def reply_then_health(sock, request: bytes) -> tuple[bytes, bytes]:
+    """Send ``request`` and a pipelined ``GET /health`` that asks to close;
+    return the first reply, asserting the second is the health reply and
+    nothing follows it."""
+    sock.sendall(request + HEALTH_THEN_CLOSE)
+    reader = sock.makefile("rb")
+    reply = read_response(reader)
+    assert read_response(reader)[1] == b"ok\n"
+    assert at_eof(reader)
+    return reply
+
+
+class TestReplyHead:
+    """A redirect's Location comes from the request path and from a minted
+    target; neither may add a header, end the head early or leave a
+    second status line on a connection that stays open."""
+
+    @pytest.mark.parametrize("target, suffix, location", [
+        pytest.param("https://example.org/d", "/a%0D%0AX:%20y",
+                     "https://example.org/d/a%0D%0AX: y", id="crlf-in-suffix"),
+        pytest.param("https://example.org/d", "/%E2%82%AC",
+                     "https://example.org/d/%E2%82%AC", id="non-latin-1-suffix"),
+        pytest.param("https://example.org/d\n", "",
+                     "https://example.org/d%0A", id="lf-in-minted-target"),
+    ])
+    def test_location_is_one_header(self, live_server, target, suffix, location):
+        app, _ = live_server
+        noid = app.minter.mint(target).noid
+        request = f"GET /ark:/{NAAN}/{noid}{suffix} HTTP/1.1\r\n\r\n".encode()
+        with socket.create_connection(("127.0.0.1", app.config.port),
+                                      timeout=5) as sock:
+            head, body = reply_then_health(sock, request)
+        assert head.startswith(b"HTTP/1.1 302 ") and head.count(b"HTTP/1.") == 1
+        names = [line.split(b":", 1)[0] for line in head.split(b"\r\n")[1:-2]]
+        assert names == [b"Server", b"Date", b"Content-Type", b"Content-Length",
+                         b"Location"]
+        assert f"\r\nLocation: {location}\r\n".encode() in head
+        assert body == b""
+
+    def test_failure_while_building_the_head_leaves_one_status_line(
+            self, live_server, monkeypatch):
+        app, _ = live_server
+        noid = app.minter.mint("https://example.org/d").noid
+        send_header = http_service.ResolverHandler.send_header
+
+        def location_fails(self, keyword, value):
+            if keyword == "Location":
+                raise UnicodeEncodeError("latin-1", value, 0, 1, "not latin-1")
+            send_header(self, keyword, value)
+
+        monkeypatch.setattr(http_service.ResolverHandler, "send_header",
+                            location_fails)
+        request = f"GET /ark:/{NAAN}/{noid} HTTP/1.1\r\n\r\n".encode()
+        with socket.create_connection(("127.0.0.1", app.config.port),
+                                      timeout=5) as sock:
+            head, body = reply_then_health(sock, request)
+        assert head.startswith(b"HTTP/1.1 500 ") and head.count(b"HTTP/1.") == 1
+        assert b"Location" not in head and body == b"internal error\n"
+
+
+class TestExpectContinue:
+    def test_mint_body_is_invited(self, live_server):
+        app, _ = live_server
+        with socket.create_connection(("127.0.0.1", app.config.port),
+                                      timeout=5) as sock:
+            sock.sendall(b"POST /mint HTTP/1.1\r\nContent-Length: 27\r\n"
+                         b"Expect: 100-continue\r\n\r\n")
+            reader = sock.makefile("rb")
+            assert reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert reader.readline() == b"\r\n"
+            head, _ = reply_then_health(sock, b'{"target": "http://x.org/"}')
+        assert head.startswith(b"HTTP/1.1 201 ")
+        assert len(app.minter.bindings) == 1
+
+    @pytest.mark.parametrize("request_bytes", [
+        pytest.param(b"POST /mint HTTP/1.1\r\nContent-Length: 70000\r\n"
+                     b"Expect: 100-continue\r\n\r\n", id="mint-over-64KiB"),
+        pytest.param(b"POST /mint HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
+                     b"Expect: 100-continue\r\n\r\n", id="mint-chunked"),
+        pytest.param(b"POST /crawl HTTP/1.1\r\nContent-Length: 33\r\n"
+                     b"Expect: 100-continue\r\n\r\n", id="crawl-with-body"),
+        pytest.param(b"GET /health HTTP/1.1\r\nExpect: 100-continue\r\n\r\n",
+                     id="get"),
+    ])
+    def test_any_other_body_is_refused(self, live_server, request_bytes):
+        app, _ = live_server
+        head = one_reply_then_eof(app.config.port, request_bytes)
+        assert head.startswith(b"HTTP/1.1 417 ")
         assert app.minter.bindings == {}
 
 
