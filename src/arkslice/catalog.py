@@ -19,7 +19,7 @@ import urllib.request
 from dataclasses import dataclass, field, asdict
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import timeseries_store, type_registry
 from .errors import (
@@ -62,7 +62,7 @@ class DatasetMetadata:
     schema_name: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class CatalogEntry:
     dataset: str
     source_id: str
@@ -138,6 +138,11 @@ class ChangeEvent:
     error: Optional[str] = None  # the failure behind a source_error
 
 
+class CatalogRecord(NamedTuple):
+    entry: CatalogEntry
+    tables: Optional[Dataset]  # None when the files were gone at restore
+
+
 def content_hash(csv_paths: list[Path]) -> str:
     """SHA-256 over file bytes, lexicographic filename order."""
     h = hashlib.sha256()
@@ -184,8 +189,7 @@ class Catalog:
         self.cache_dir = self.state_dir / "cache"
         self.entries_dir.mkdir(parents=True, exist_ok=True)
         self.sources: dict[str, DataSource] = {s.id: s for s in sources}
-        self.entries: dict[str, CatalogEntry] = {}
-        self.datasets: dict[str, Dataset] = {}
+        self._records: dict[str, CatalogRecord] = {}  # replaced, never mutated
         self._write_lock = threading.RLock()  # crawl re-enters register_dataset
         self._restore()
 
@@ -204,15 +208,17 @@ class Catalog:
         os.replace(tmp, path)
 
     def _restore(self) -> None:
+        records = {}
         for path in sorted(self.entries_dir.glob("*.json")):
             doc = json.loads(path.read_text(encoding="utf-8"))
             entry = CatalogEntry.from_document(doc)
-            self.entries[entry.dataset] = entry
             try:
-                self.datasets[entry.dataset] = self._load_tables(entry)
+                tables = self._load_tables(entry)
             except ArksliceError:
                 # Files gone since last run; next crawl emits `removed`.
-                pass
+                tables = None
+            records[entry.dataset] = CatalogRecord(entry, tables)
+        self._records = records
 
     def _log_event(self, event: ChangeEvent) -> None:
         self.state_dir.mkdir(parents=True, exist_ok=True)
@@ -238,9 +244,8 @@ class Catalog:
             )
         return Dataset(name=entry.dataset, sensors=sensors)
 
-    def _fetch_remote(
-        self, source: DataSource, dataset: str, sensor_files: list[str]
-    ) -> Path:
+    def _fetch_remote(self, source: DataSource, dataset: str,
+                      sensor_files: list[str], dest: Path) -> None:
         fetched = {}
         for fname in sensor_files:
             url = f"{source.root.rstrip('/')}/{dataset}/{fname}"
@@ -251,11 +256,9 @@ class Catalog:
                 raise IoError(f"fetch failed for {url}: {exc}") from exc
         # Write only once every file arrived, so a failed fetch leaves the
         # cached copy as it was.
-        dest = self.cache_dir / source.id / dataset
         dest.mkdir(parents=True, exist_ok=True)
         for fname, data in fetched.items():
             (dest / fname).write_bytes(data)
-        return dest
 
     # --- operations ---
 
@@ -269,26 +272,27 @@ class Catalog:
     ) -> CatalogEntry:
         """Load, type, hash and index one dataset from a source.
 
-        Local sources discover ``*.csv`` files in ``<root>/<dataset>/``;
-        remote sources need an explicit ``sensor_files`` list (there is no
-        directory listing over HTTP). Re-registering the same dataset from
-        the same source refreshes it; a second source is a conflict.
+        Reads the CSVs in ``data_dir`` if given, else in a local source's
+        ``<root>/<dataset>/``, else fetches ``sensor_files`` from a remote
+        source into the cache. Re-registering the same dataset from the
+        same source refreshes it; a second source is a conflict.
         """
         with self._write_lock:
-            existing = self.entries.get(dataset_name)
-            if existing is not None and existing.source_id != source.id:
+            existing = self._records.get(dataset_name)
+            if existing is not None and existing.entry.source_id != source.id:
                 raise DuplicateDataset(
                     f"{dataset_name!r} already registered from source "
-                    f"{existing.source_id!r}"
+                    f"{existing.entry.source_id!r}"
                 )
             metadata = metadata or DatasetMetadata()
-            if source.kind == "remote_http":
+            if data_dir is not None:
+                data_dir = Path(data_dir)
+            elif source.kind == "remote_http":
                 if not sensor_files:
                     raise LoadError(
                         "remote sources need an explicit sensor file list")
-                data_dir = self._fetch_remote(source, dataset_name, sensor_files)
-            elif data_dir is not None:
-                data_dir = Path(data_dir)
+                data_dir = self.cache_dir / source.id / dataset_name
+                self._fetch_remote(source, dataset_name, sensor_files, data_dir)
             else:
                 data_dir = Path(source.root) / dataset_name
             files = self._csv_files(data_dir)
@@ -312,32 +316,35 @@ class Catalog:
                 sensors=sensors,
                 metadata=metadata,
                 content_hash=content_hash(files),
-                registered_at=existing.registered_at if existing else now,
+                registered_at=existing.entry.registered_at if existing else now,
                 updated_at=now,
             )
-            self.entries[dataset_name] = entry
-            self.datasets[dataset_name] = Dataset(name=dataset_name, sensors=tables)
             self._write_entry(entry)
+            record = CatalogRecord(entry, Dataset(name=dataset_name, sensors=tables))
+            self._records = {**self._records, dataset_name: record}
             return entry
 
     def lookup(self, dataset_name: str) -> CatalogEntry:
-        entry = self.entries.get(dataset_name)
-        if entry is None:
+        record = self._records.get(dataset_name)
+        if record is None:
             raise NotFound(f"dataset {dataset_name!r} is not registered")
-        return entry
+        return record.entry
+
+    def record(self, dataset_name: str) -> CatalogRecord:
+        """A dataset's entry and tables, both from one catalog state."""
+        record = self._records.get(dataset_name)
+        if record is None or record.tables is None:
+            raise NotFound(f"dataset {dataset_name!r} is not registered")
+        return record
 
     def dataset(self, dataset_name: str) -> Dataset:
-        ds = self.datasets.get(dataset_name)
-        if ds is None:
-            raise NotFound(f"dataset {dataset_name!r} is not registered")
-        return ds
+        return self.record(dataset_name).tables
 
     def search(self, query: str) -> list[dict]:
         """Case-insensitive substring search; returns summaries by name."""
         q = query.lower()
         hits = []
-        for name in sorted(self.entries):
-            entry = self.entries[name]
+        for name, (entry, _) in sorted(self._records.items()):
             meta = entry.metadata
             haystacks = [
                 name,
@@ -365,37 +372,28 @@ class Catalog:
         with self._write_lock:
             events: list[ChangeEvent] = []
 
-            for name in sorted(self.entries):
-                entry = self.entries[name]
-                source = self.sources.get(entry.source_id)
+            for name, (entry, _) in sorted(self._records.items()):
+                # A source gone from the config still owns its datasets.
+                source = self.sources.get(entry.source_id) or DataSource(
+                    entry.source_id, entry.data_dir)
                 try:
-                    if source is not None and source.kind == "remote_http":
+                    if source.kind == "remote_http":
+                        sensor_files = [s["file"] for s in entry.sensors]
                         self._fetch_remote(
-                            source, name, [s["file"] for s in entry.sensors]
-                        )
+                            source, name, sensor_files, Path(entry.data_dir))
                     try:
                         files = self._csv_files(Path(entry.data_dir))
                     except LoadError:
                         self._remove(entry, events)
                         continue
-                    new_hash = content_hash(files)
-                    if new_hash != entry.content_hash:
-                        old_hash = entry.content_hash
-                        remote = source is not None and source.kind == "remote_http"
-                        self.register_dataset(
-                            source or DataSource(
-                                entry.source_id, str(Path(entry.data_dir).parent)
-                            ),
-                            name,
-                            entry.metadata,
-                            sensor_files=(
-                                [s["file"] for s in entry.sensors] if remote else None
-                            ),
-                        )
+                    if content_hash(files) != entry.content_hash:
+                        new = self.register_dataset(
+                            source, name, entry.metadata, data_dir=entry.data_dir)
                         events.append(
                             ChangeEvent(
                                 "modified", name, entry.source_id, _now(),
-                                old_hash=old_hash, new_hash=new_hash,
+                                old_hash=entry.content_hash,
+                                new_hash=new.content_hash,
                             )
                         )
                 except ArksliceError as exc:
@@ -413,7 +411,7 @@ class Catalog:
                 for child in sorted(root.iterdir()):
                     if not child.is_dir() or not NAME_RE.match(child.name):
                         continue
-                    if child.name in self.entries:
+                    if child.name in self._records:
                         continue
                     if not any(child.glob("*.csv")):
                         continue
@@ -437,8 +435,8 @@ class Catalog:
             return events
 
     def _remove(self, entry: CatalogEntry, events: list[ChangeEvent]) -> None:
-        del self.entries[entry.dataset]
-        self.datasets.pop(entry.dataset, None)
+        self._records = {name: record for name, record in self._records.items()
+                         if name != entry.dataset}
         path = self._entry_path(entry.dataset)
         if path.exists():
             path.unlink()

@@ -116,6 +116,8 @@ def header_safe_url(url: str) -> str:
 # before anything is read.
 MAX_BODY_BYTES = 64 * 1024
 WRITE_CHUNK_BYTES = 256 * 1024
+# How long a background server's shutdown() may wait (the stdlib's is 0.5 s).
+BACKGROUND_POLL_S = 0.05
 
 
 class ResolverHandler(BaseHTTPRequestHandler):
@@ -323,6 +325,7 @@ def serve(app: App) -> None:
 def start_background(app: App) -> tuple[ThreadingHTTPServer, threading.Thread]:
     """Start the server on a daemon thread; used by tests and embedders."""
     server = make_server(app)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, args=(BACKGROUND_POLL_S,), daemon=True)
     thread.start()
     return server, thread

@@ -234,8 +234,7 @@ class Resolver:
         return Data(timeseries_store.select(dataset, q))
 
     def _info_document(self, q: PidQuery) -> dict:
-        entry = self.catalog.lookup(q.dataset)
-        dataset = self.catalog.dataset(q.dataset)
+        entry, dataset = self.catalog.record(q.dataset)
         doc = entry.document()
         sensors = []
         for name in q.sensors:
