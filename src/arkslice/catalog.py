@@ -138,7 +138,7 @@ class ChangeEvent:
     error: Optional[str] = None  # the failure behind a source_error
 
 
-class CatalogRecord(NamedTuple):
+class CatalogRecord(NamedTuple):  # a dataset's entry and tables, from one state
     entry: CatalogEntry
     tables: Optional[Dataset]  # None when the files were gone at restore
 
@@ -244,8 +244,9 @@ class Catalog:
             )
         return Dataset(name=entry.dataset, sensors=sensors)
 
-    def _fetch_remote(self, source: DataSource, dataset: str,
-                      sensor_files: list[str], dest: Path) -> None:
+    def _fetch_remote(
+        self, source: DataSource, dataset: str, sensor_files: list[str]
+    ) -> Path:
         fetched = {}
         for fname in sensor_files:
             url = f"{source.root.rstrip('/')}/{dataset}/{fname}"
@@ -256,9 +257,11 @@ class Catalog:
                 raise IoError(f"fetch failed for {url}: {exc}") from exc
         # Write only once every file arrived, so a failed fetch leaves the
         # cached copy as it was.
+        dest = self.cache_dir / source.id / dataset
         dest.mkdir(parents=True, exist_ok=True)
         for fname, data in fetched.items():
             (dest / fname).write_bytes(data)
+        return dest
 
     # --- operations ---
 
@@ -272,10 +275,10 @@ class Catalog:
     ) -> CatalogEntry:
         """Load, type, hash and index one dataset from a source.
 
-        Reads the CSVs in ``data_dir`` if given, else in a local source's
-        ``<root>/<dataset>/``, else fetches ``sensor_files`` from a remote
-        source into the cache. Re-registering the same dataset from the
-        same source refreshes it; a second source is a conflict.
+        Local sources read the ``*.csv`` files in ``data_dir`` (default
+        ``<root>/<dataset>/``); remote sources fetch ``sensor_files`` into
+        the cache, the only ``data_dir`` they accept (no listing over HTTP).
+        Re-registering from the same source refreshes it; another conflicts.
         """
         with self._write_lock:
             existing = self._records.get(dataset_name)
@@ -285,17 +288,18 @@ class Catalog:
                     f"{existing.entry.source_id!r}"
                 )
             metadata = metadata or DatasetMetadata()
-            if data_dir is not None:
-                data_dir = Path(data_dir)
-            elif source.kind == "remote_http":
+            remote = source.kind == "remote_http"
+            if remote and data_dir is None:
                 if not sensor_files:
                     raise LoadError(
                         "remote sources need an explicit sensor file list")
-                data_dir = self.cache_dir / source.id / dataset_name
-                self._fetch_remote(source, dataset_name, sensor_files, data_dir)
-            else:
+                data_dir = self._fetch_remote(source, dataset_name, sensor_files)
+            elif data_dir is None:
                 data_dir = Path(source.root) / dataset_name
-            files = self._csv_files(data_dir)
+            elif remote and Path(data_dir) != self.cache_dir / source.id / dataset_name:
+                raise LoadError(  # a crawl fetches over a remote dataset's data_dir
+                    f"remote sources are read from the cache, not {data_dir}")
+            files = self._csv_files(Path(data_dir))
 
             tables = {}
             sensors = []
@@ -312,7 +316,7 @@ class Catalog:
             entry = CatalogEntry(
                 dataset=dataset_name,
                 source_id=source.id,
-                data_dir=str(data_dir),
+                data_dir=str(Path(data_dir)),
                 sensors=sensors,
                 metadata=metadata,
                 content_hash=content_hash(files),
@@ -331,7 +335,6 @@ class Catalog:
         return record.entry
 
     def record(self, dataset_name: str) -> CatalogRecord:
-        """A dataset's entry and tables, both from one catalog state."""
         record = self._records.get(dataset_name)
         if record is None or record.tables is None:
             raise NotFound(f"dataset {dataset_name!r} is not registered")
@@ -376,24 +379,23 @@ class Catalog:
                 # A source gone from the config still owns its datasets.
                 source = self.sources.get(entry.source_id) or DataSource(
                     entry.source_id, entry.data_dir)
+                data_dir = Path(entry.data_dir)
                 try:
                     if source.kind == "remote_http":
-                        sensor_files = [s["file"] for s in entry.sensors]
-                        self._fetch_remote(
-                            source, name, sensor_files, Path(entry.data_dir))
+                        data_dir = self._fetch_remote(
+                            source, name, [s["file"] for s in entry.sensors])
                     try:
-                        files = self._csv_files(Path(entry.data_dir))
+                        files = self._csv_files(data_dir)
                     except LoadError:
                         self._remove(entry, events)
                         continue
                     if content_hash(files) != entry.content_hash:
                         new = self.register_dataset(
-                            source, name, entry.metadata, data_dir=entry.data_dir)
+                            source, name, entry.metadata, data_dir=data_dir)
                         events.append(
                             ChangeEvent(
                                 "modified", name, entry.source_id, _now(),
-                                old_hash=entry.content_hash,
-                                new_hash=new.content_hash,
+                                old_hash=entry.content_hash, new_hash=new.content_hash,
                             )
                         )
                 except ArksliceError as exc:
@@ -435,8 +437,7 @@ class Catalog:
             return events
 
     def _remove(self, entry: CatalogEntry, events: list[ChangeEvent]) -> None:
-        self._records = {name: record for name, record in self._records.items()
-                         if name != entry.dataset}
+        self._records = {n: r for n, r in self._records.items() if n != entry.dataset}
         path = self._entry_path(entry.dataset)
         if path.exists():
             path.unlink()

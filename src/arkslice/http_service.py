@@ -116,8 +116,7 @@ def header_safe_url(url: str) -> str:
 # before anything is read.
 MAX_BODY_BYTES = 64 * 1024
 WRITE_CHUNK_BYTES = 256 * 1024
-# How long a background server's shutdown() may wait (the stdlib's is 0.5 s).
-BACKGROUND_POLL_S = 0.05
+BACKGROUND_POLL_S = 0.05  # a background server's shutdown() waits up to this
 
 
 class ResolverHandler(BaseHTTPRequestHandler):

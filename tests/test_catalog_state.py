@@ -14,6 +14,7 @@ import pytest
 
 import oracle
 from arkslice.catalog import Catalog, DataSource
+from arkslice.errors import LoadError, NotFound
 from arkslice.timeseries_store import render_csv
 from conftest import DATASET, FIXTURE_METADATA, NAAN, write_fixture
 
@@ -90,6 +91,26 @@ def test_modified_remote_dataset_is_fetched_once_per_crawl(
     assert dict(gets) == {f"/AMPds-remote/{f}": 1 for f in files}
     assert events[0].new_hash == cat.lookup("AMPds-remote").content_hash
     assert 25612 in cat.dataset("AMPds-remote").sensor("DWE").key
+
+
+def test_remote_source_refuses_a_directory_outside_the_cache(
+        tmp_path, counting_file_server):
+    # `arkslice ingest --source <remote> ... DIRECTORY`: a crawl fetches
+    # over a remote dataset's directory, so only the cache is accepted.
+    _, base, gets = counting_file_server
+    source = DataSource(id="remote", root=base, kind="remote_http")
+    cat = Catalog(tmp_path / "state", [source])
+    mine = write_fixture(tmp_path / "elsewhere", dataset="mine")
+    before = {p.name: p.read_bytes() for p in mine.iterdir()}
+
+    with pytest.raises(LoadError):
+        cat.register_dataset(source, "AMPds-remote", data_dir=mine)
+    assert cat.crawl() == []
+
+    with pytest.raises(NotFound):
+        cat.lookup("AMPds-remote")
+    assert {p.name: p.read_bytes() for p in mine.iterdir()} == before
+    assert not gets
 
 
 def crawl_after_first_read(catalog, monkeypatch) -> list:
