@@ -151,12 +151,12 @@ def content_hash(csv_paths: list[Path]) -> str:
     return h.hexdigest()
 
 
-def _key_schema(name: str, key: tuple[int, ...]) -> dict:
+def _key_schema(name: str, index) -> dict:
     """What ``infer_column_type(..., is_key=True)`` gives for the key's
     text, read off the sorted int keys; keys get no statistics."""
-    if not key:
+    if not len(index):
         basic, derived = "text", "varchar"
-    elif key[0] >= type_registry.EPOCH_THRESHOLD:
+    elif index[0] >= type_registry.EPOCH_THRESHOLD:
         basic, derived = "date/time", "timestamp"
     else:
         basic, derived = "number", "integer"
@@ -174,8 +174,8 @@ def _column_schema(name: str, cells) -> dict:
 
 
 def _sensor_schema(table: SensorTable, file_name: str) -> dict:
-    columns = [_key_schema(table.key_column_name, table.key)]
-    columns += [_column_schema(name, cells) for name, cells, _ in table.columns]
+    columns = [_key_schema(table.key_column_name, table.index)]
+    columns += [_column_schema(name, table.column(name)) for name in table.names]
     return {"name": table.sensor_name, "file": file_name, "columns": columns}
 
 
@@ -273,7 +273,8 @@ class Catalog:
         sensor_files: Optional[list[str]] = None,
         data_dir=None,
     ) -> CatalogEntry:
-        """Load, type, hash and index one dataset from a source.
+        """Load, type, hash and index one dataset from a source; the hash
+        is over the bytes that were loaded.
 
         Local sources read the ``*.csv`` files in ``data_dir`` (default
         ``<root>/<dataset>/``); remote sources fetch ``sensor_files`` into
@@ -303,12 +304,14 @@ class Catalog:
 
             tables = {}
             sensors = []
-            for path in files:
+            # Hashed from the bytes each load read, in content_hash's order.
+            digest = hashlib.sha256()
+            for path in sorted(files, key=lambda p: p.name):
                 name = path.stem
                 if not NAME_RE.match(name):
                     raise LoadError(
                         f"sensor file name {path.name!r} is not a valid name")
-                table = timeseries_store.load_sensor_csv(path, name)
+                table = timeseries_store.load_sensor_csv(path, name, digest)
                 tables[name] = table
                 sensors.append(_sensor_schema(table, path.name))
 
@@ -319,7 +322,7 @@ class Catalog:
                 data_dir=str(Path(data_dir)),
                 sensors=sensors,
                 metadata=metadata,
-                content_hash=content_hash(files),
+                content_hash=digest.hexdigest(),
                 registered_at=existing.entry.registered_at if existing else now,
                 updated_at=now,
             )

@@ -32,15 +32,22 @@ def _app(config_path: str) -> App:
     return App(ServiceConfig.from_file(config_path))
 
 
+def _write(data: bytes) -> None:
+    """Write bytes to stdout as they are, whatever its text encoding."""
+    sys.stdout.flush()
+    sys.stdout.buffer.write(data)
+    sys.stdout.buffer.flush()
+
+
 def _print_resolution(result: Resolution) -> None:
     """Print what ``GET /ark:/...`` sends: the CSV slice, the same JSON
     document for ``?info``, or a redirect's location."""
     if isinstance(result, Redirect):
         click.echo(result.location)
     elif isinstance(result, Info):
-        sys.stdout.write(json_bytes(result.document).decode("utf-8"))
+        _write(json_bytes(result.document))
     else:
-        sys.stdout.write(render_csv(result.slice))
+        _write(render_csv(result.slice).encode("utf-8"))
 
 
 @click.group()
@@ -132,7 +139,7 @@ def crawl(config_path):
 def search(config_path, query):
     """Search the catalog (empty query lists everything)."""
     app = _app(config_path)
-    sys.stdout.write(json_bytes(app.catalog.search(query)).decode("utf-8"))
+    _write(json_bytes(app.catalog.search(query)))
 
 
 @cli.command()

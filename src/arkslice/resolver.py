@@ -240,7 +240,7 @@ class Resolver:
         for name in q.sensors:
             table = dataset.sensor(name)
             for m in q.measurements:
-                table.column(m)  # UnknownMeasurement beats partial output
+                table.field_index(m)  # UnknownMeasurement beats partial output
             schema = next(s for s in doc["sensors"] if s["name"] == name)
             wanted = {"timestamp", table.key_column_name, *q.measurements}
             sensors.append(
@@ -276,7 +276,7 @@ class Resolver:
         tables = [dataset.sensor(s) for s in sensors]
         for table in tables:
             for m in measurements:
-                table.column(m)
+                table.field_index(m)
         domain = timeseries_store.sorted_union([t.index for t in tables])
         n = len(domain)
         if n < k:

@@ -15,7 +15,10 @@ from arkslice.catalog import (
     DatasetMetadata,
     content_hash,
 )
+from arkslice import timeseries_store
 from arkslice.errors import DuplicateDataset, LoadError, NotFound
+from arkslice.pid_grammar import parse_pid
+from arkslice.timeseries_store import render_csv, select
 
 from conftest import DATASET, FIXTURE_METADATA, write_fixture
 
@@ -358,3 +361,73 @@ def test_federated_lookup_across_sources(tmp_path):
     assert cat.lookup("Alpha-ds").source_id == "s1"
     assert cat.lookup("Beta-ds").source_id == "s2"
     assert [h["dataset"] for h in cat.search("")] == ["Alpha-ds", "Beta-ds"]
+
+
+# --- the bytes a dataset is hashed from are the bytes it was loaded from ---
+
+def one_sensor_catalog(tmp_path, datasets):
+    """A catalog over ``{dataset: sensor file text}``, each registered."""
+    root = tmp_path / "data"
+    for name, text in datasets.items():
+        (root / name).mkdir(parents=True)
+        (root / name / "X.csv").write_bytes(text)
+    sources = [DataSource("local", str(root))]
+    cat = Catalog(tmp_path / "state", sources)
+    for name in datasets:
+        cat.register_dataset(cat.sources["local"], name)
+    return cat, root, sources
+
+
+def slice_of(cat, dataset, selector="*"):
+    q = parse_pid(f"ark:/57460/{dataset}.X.V@{selector}")
+    return render_csv(select(cat.dataset(dataset), q))
+
+
+def test_register_hashes_the_bytes_it_loaded(tmp_path, monkeypatch):
+    """A write that lands just after the load read the file is not in the
+    stored hash, so the next crawl still sees it and reloads."""
+    cat, root, _ = one_sensor_catalog(tmp_path, {"D": b"ts,V\n1,a\n2,b\n"})
+    path = root / "D" / "X.csv"
+    path.write_bytes(b"ts,V\n1,a\n2,B\n")
+    load = timeseries_store.load_sensor_csv
+
+    def load_then_append(*args, **kwargs):
+        table = load(*args, **kwargs)
+        with open(path, "ab") as fh:
+            fh.write(b"3,c\n")
+        return table
+
+    monkeypatch.setattr(timeseries_store, "load_sensor_csv", load_then_append)
+    assert [e.kind for e in cat.crawl()] == ["modified"]
+    monkeypatch.setattr(timeseries_store, "load_sensor_csv", load)
+    assert [e.kind for e in cat.crawl()] == ["modified"]
+    assert slice_of(cat, "D", "3") == "timestamp,V\n3,c\n"
+    assert cat.lookup("D").content_hash == content_hash([path])
+
+
+NOT_UTF8 = b"ts,V\n1,a\n2,\xff\n"  # the bad byte is at offset 11
+
+
+def test_crawl_records_a_file_that_is_not_utf8_and_goes_on(tmp_path):
+    cat, root, _ = one_sensor_catalog(
+        tmp_path, {"A": b"ts,V\n1,a\n", "B": b"ts,V\n1,a\n"})
+    (root / "A" / "X.csv").write_bytes(NOT_UTF8)
+    (root / "B" / "X.csv").write_bytes(b"ts,V\n1,a\n2,b\n")
+    events = {e.dataset: e for e in cat.crawl()}
+    assert {name: e.kind for name, e in events.items()} == {
+        "A": "source_error", "B": "modified"}
+    assert "X.csv" in events["A"].error and "byte 11" in events["A"].error
+    assert slice_of(cat, "A") == "timestamp,V\n1,a\n"  # the last good bytes
+    assert slice_of(cat, "B") == "timestamp,V\n1,a\n2,b\n"
+
+
+def test_restart_serves_a_dataset_that_is_not_utf8_as_not_found(tmp_path):
+    cat, root, sources = one_sensor_catalog(
+        tmp_path, {"A": b"ts,V\n1,a\n", "B": b"ts,V\n1,a\n"})
+    (root / "A" / "X.csv").write_bytes(NOT_UTF8)
+    restarted = Catalog(tmp_path / "state", sources)
+    with pytest.raises(NotFound) as err:
+        restarted.dataset("A")
+    assert err.value.http_status == 404
+    assert restarted.lookup("A").dataset == "A"
+    assert slice_of(restarted, "B") == "timestamp,V\n1,a\n"

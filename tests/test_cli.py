@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import requests
 
+import arkslice
 from arkslice import errors
 from arkslice.catalog import Catalog
 from arkslice.cli import main, strip_scheme_host
@@ -208,3 +213,26 @@ def test_error_table(exc_class, capsys, config_path, live_server, monkeypatch):
     code, out, err = run(capsys, "--config", config_path, "search")
     kind = "internal error" if exit_code == 2 else "error"
     assert (code, out, err) == (exit_code, "", f"{kind}: stubbed failure\n")
+
+
+@pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+def test_resolve_writes_the_files_utf8_bytes_whatever_the_locale(
+        capsys, tmp_path, encoding):
+    data_dir = tmp_path / "data" / "D"
+    data_dir.mkdir(parents=True)
+    (data_dir / "X.csv").write_bytes("ts,V\n1,été\n2,b\n".encode("utf-8"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "naans": [NAAN], "state_dir": str(tmp_path / "state"),
+        "sources": [{"id": "local", "root": str(tmp_path / "data")}],
+    }))
+    assert run(capsys, "--config", str(config), "ingest",
+               "--source", "local", "--dataset", "D")[0] == 0
+    pid = f"ark:/{NAAN}/D.X.V@*"
+    src = Path(arkslice.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING=encoding)
+    done = subprocess.run(
+        [sys.executable, "-m", "arkslice.cli", "--config", str(config), "resolve", pid],
+        capture_output=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == oracle.resolve_csv(data_dir, pid).encode("utf-8")

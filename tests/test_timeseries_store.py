@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 
@@ -10,6 +11,7 @@ from arkslice.errors import (
     DuplicateTimestamp,
     EmptyFile,
     IoError,
+    LoadError,
     NonIntegerTimestamp,
     RaggedRow,
     UnknownMeasurement,
@@ -362,3 +364,61 @@ def test_point_select_memory_follows_rows_returned():
         tracemalloc.stop()
     assert result.rows == ((500000, ("1.5",)),)
     assert peak < 1_000_000
+
+
+# --- byte-backed tables ---
+
+def test_loaded_table_stays_within_twice_its_csv_bytes(tmp_path):
+    """A table is its file's bytes, an int32 offset per field and an int64
+    key per row: with rows shaped like the benchmark's (epoch key and four
+    measurements), at most twice the file."""
+    rng = random.Random(1)
+    lines = ["timestamp,V,I,P,Q"]
+    for i in range(100_000):
+        q = "" if i % 50 == 49 else f"{rng.uniform(-900, 900):.3e}"
+        lines.append(f"{1333238400 + 60 * i},{rng.uniform(110, 125):.3f},"
+                     f"{rng.uniform(0, 40):.2f},{rng.randrange(5000)},{q}")
+    path = write_csv(tmp_path, "\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        table = load_sensor_csv(path, "DWE")
+        resident, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.row_count == 100_000
+    assert resident <= 2 * path.stat().st_size
+
+
+class TestByteLoad:
+    def test_non_canonical_keys_render_canonically(self, tmp_path):
+        # int() reads all of these; the output names each key as str(int()).
+        path = write_csv(tmp_path, "ts,V\n+5,a\n007,b\n 9 ,c\n1_0,d\n-0,e\n١١,f\n")
+        table = load_sensor_csv(path, "DWE")
+        assert table.key == (0, 5, 7, 9, 10, 11)
+        q = parse_pid("ark:/57460/D.DWE.V@*")
+        assert render_csv(select(Dataset("D", {"DWE": table}), q)) == (
+            "timestamp,V\n0,e\n5,a\n7,b\n9,c\n10,d\n11,f\n")
+
+    def test_not_utf8_names_file_and_offset(self, tmp_path):
+        path = tmp_path / "DWE.csv"
+        path.write_bytes(b"ts,V\n1,a\n2,\xff\n")
+        with pytest.raises(LoadError, match=r"DWE\.csv: not UTF-8 at byte 11"):
+            load_sensor_csv(path, "DWE")
+
+    def test_ragged_row_names_first_bad_line(self, tmp_path):
+        path = write_csv(tmp_path, "ts,V\n1,a\n2\n3,c,d\n")
+        with pytest.raises(RaggedRow, match=r":3: 1 fields, expected 2"):
+            load_sensor_csv(path, "DWE")
+
+    def test_lone_cr_stays_in_the_cell(self, tmp_path):
+        path = write_csv(tmp_path, "ts,V\r\n2,a\rb\r\n1,c\r\n")
+        table = load_sensor_csv(path, "DWE")
+        assert table.column("V") == ("c", "a\rb")
+
+    def test_hasher_gets_the_bytes_read(self, tmp_path):
+        raw = b"ts,V\r\n2,a\r\n1,b"
+        path = tmp_path / "DWE.csv"
+        path.write_bytes(raw)
+        seen = hashlib.sha256()
+        load_sensor_csv(path, "DWE", seen)
+        assert seen.digest() == hashlib.sha256(raw).digest()
