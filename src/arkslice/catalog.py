@@ -304,9 +304,10 @@ class Catalog:
 
             tables = {}
             sensors = []
-            # Hashed from the bytes each load read, in content_hash's order.
+            # Hashed from the bytes each load read; files come in file-name
+            # order, as content_hash takes them.
             digest = hashlib.sha256()
-            for path in sorted(files, key=lambda p: p.name):
+            for path in files:
                 name = path.stem
                 if not NAME_RE.match(name):
                     raise LoadError(

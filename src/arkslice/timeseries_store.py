@@ -163,7 +163,7 @@ class Source(NamedTuple):
     complete: bool
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class ResultSlice:
     """A selected slice: header labels, the ascending timestamps, and per
     sensor the rows and fields to copy. With one sensor the key is field 0
@@ -287,8 +287,10 @@ def _parse(data: bytes, origin):
     row_ends = starts[width::width]
     if order is None:
         order = np.arange(n)
-    if canonical:
-        body = _gather(buf, key_starts[order], (row_ends - key_starts)[order]).tobytes()
+    if canonical:  # row copies, gathered a block at a time
+        parts = np.array_split(order, max(1, len(data) // BLOCK_BYTES))
+        body = b"".join(_gather(buf, key_starts[part], (row_ends - key_starts)[part])
+                        .tobytes() for part in parts)
     else:
         keys = index.tolist()
         rests = zip(key_ends[order].tolist(), row_ends[order].tolist())
@@ -338,7 +340,7 @@ def sorted_union(arrays: list[np.ndarray]) -> np.ndarray:
     return merged[first]
 
 
-def _runs(fields: list[int]) -> tuple[tuple[int, int], ...]:
+def _runs(fields) -> tuple[tuple[int, int], ...]:
     """Group field numbers into runs of consecutive ascending ones."""
     runs = []
     for f in fields:
@@ -360,24 +362,27 @@ def select(dataset: Dataset, q: PidQuery) -> ResultSlice:
     """
     tables = [dataset.sensor(s) for s in q.sensors]
     # Validate measurements up front so errors beat empty results.
-    fields = [[t.field_index(m) for m in q.measurements] for t in tables]
-    ts = sorted_union([effective_key_set(q.selector, t.index) for t in tables])
-    single = len(tables) == 1
+    fields = [tuple([t.field_index(m) for m in q.measurements]) for t in tables]
+    keys = [effective_key_set(q.selector, t.index) for t in tables]
+    ts = sorted_union(keys)
+    if len(tables) == 1:
+        # A sensor's selected keys are all its own: it has every row.
+        source = Source(tables[0], tables[0].index.searchsorted(ts),
+                        _runs((0, *fields[0])), True)
+        return ResultSlice(("timestamp", *q.measurements), ts, (source,))
     header = ["timestamp"]
-    sources = []
-    for table, wanted in zip(tables, fields):
-        header += (q.measurements if single else
-                   [f"{table.sensor_name}.{m}" for m in q.measurements])
+    sources, runs_of = [], {}
+    for table, wanted, own in zip(tables, fields, keys):
+        header += [f"{table.sensor_name}.{m}" for m in q.measurements]
         pos = table.index.searchsorted(ts)
-        complete = single  # a sensor's selected keys are all its own
-        if not single:
+        complete = len(own) == len(ts)  # its selected keys are all of them
+        if not complete:
             found = table.index.take(pos, mode="clip") if len(table.index) else ts + 1
-            missing = found != ts
-            pos[missing] = -1
-            complete = not missing.any()
-        runs = _runs([0] + wanted if single else wanted)
-        sources.append(Source(table, pos, runs, complete))
-    return ResultSlice(header=tuple(header), timestamps=ts, sources=tuple(sources))
+            pos[found != ts] = -1
+        if wanted not in runs_of:  # sensors with one column order share runs
+            runs_of[wanted] = _runs(wanted)
+        sources.append(Source(table, pos, runs_of[wanted], complete))
+    return ResultSlice(tuple(header), ts, tuple(sources))
 
 
 def render_csv(result: ResultSlice) -> str:
@@ -400,8 +405,9 @@ def _whole_rows(result: ResultSlice) -> Optional[list[bytes]]:
     if s.runs != ((0, t.width - 1),):
         return None
     pos, w, starts, data = s.positions, t.width, t.starts, t.data
-    if pos[-1] - pos[0] == len(pos) - 1:
-        return [data[starts[pos[0] * w]:starts[(pos[-1] + 1) * w]]]
+    lo, hi = int(pos[0]), int(pos[-1]) + 1
+    if hi - lo == len(pos):
+        return [data[starts[lo * w]:starts[hi * w]]]
     breaks = np.flatnonzero(np.diff(pos) != 1) + 1
     firsts = starts[np.concatenate((pos[:1], pos[breaks])) * w].tolist()
     lasts = starts[(np.concatenate((pos[breaks - 1], pos[-1:])) + 1) * w].tolist()
@@ -425,33 +431,33 @@ def _pieces(s: Source, keys: Optional[np.ndarray] = None) -> list[bytes]:
     if keys is not None and runs[0][0] != 0:
         runs = ((0, runs[0][1]),) + runs[1:] if runs[0][0] == 1 else ((0, 0),) + runs
     absent = not s.complete
-    missing = pos < 0 if absent else None
-    if absent and missing.all():
+    if absent and not (pos >= 0).any():
         return [b"%d%s" % (k, b"," * (len(s.runs) + sum(b - a for a, b in s.runs)))
                 for k in keys.tolist()] if keys is not None else \
             [b"," * (len(s.runs) - 1 + sum(b - a for a, b in s.runs))] * len(pos)
-    if not absent and pos[-1] - pos[0] == len(pos) - 1:
-        rows = np.s_[pos[0] * t.width:(pos[-1] + 1) * t.width:t.width]
-        at = None  # contiguous rows: their starts are strided slices
+    w, lo, hi = t.width, int(pos[0]), int(pos[-1]) + 1
+    if absent or hi - lo != len(pos):
+        at = pos * w  # negative, and masked below, where there is no row
     else:
-        at = pos * t.width  # negative, and masked below, where there is no row
+        at = None  # contiguous rows: their starts are strided slices
     data, cells = t.data, []
     for a, b in runs:
         if at is None:
-            firsts, ends = t.starts[a:][rows], t.starts[b + 1:][rows] - 1
+            firsts = t.starts[lo * w + a:hi * w + a:w]
+            ends = t.starts[lo * w + b + 1:hi * w + b + 1:w] - 1
         else:
             firsts, ends = t.starts[at + a], t.starts[at + b + 1] - 1
         if not absent:
             cells.append([data[x:y] for x, y in zip(firsts.tolist(), ends.tolist())])
             continue
-        firsts[missing] = -1
         gap = b"," * (b - a)
         if a == 0 and keys is not None:  # the key, then the run's commas
-            cells.append([data[x:y] if x >= 0 else b"%d%s" % (k, gap) for x, y, k
-                          in zip(firsts.tolist(), ends.tolist(), keys.tolist())])
+            cells.append([data[x:y] if p >= 0 else b"%d%s" % (k, gap) for p, x, y, k
+                          in zip(pos.tolist(), firsts.tolist(), ends.tolist(),
+                                 keys.tolist())])
         else:
-            cells.append([data[x:y] if x >= 0 else gap
-                          for x, y in zip(firsts.tolist(), ends.tolist())])
+            cells.append([data[x:y] if p >= 0 else gap for p, x, y
+                          in zip(pos.tolist(), firsts.tolist(), ends.tolist())])
     return cells[0] if len(cells) == 1 else list(map(b",".join, zip(*cells)))
 
 

@@ -7,9 +7,10 @@ canonical, non-ASCII cells, sensors whose keys only partly overlap and
 whose columns come in different orders) and draw PIDs over the whole
 grammar (wildcards, include and exclude terms that touch or overlap,
 several sensors, measurement subsets, NOID redirects), with slices on both
-sides of ``RUN_ROWS``. Three paths must each equal ``oracle.resolve_csv``
-byte for byte: ``select`` plus ``render_csv`` in process, the CLI's stdout,
-and HTTP/1.1 over one keep-alive connection.
+sides of ``RUN_ROWS``. Every path must equal ``oracle.resolve_csv`` byte
+for byte: ``select`` plus ``render_csv`` in process, the CLI's stdout,
+HTTP/1.1 over one keep-alive connection and HTTP/1.0. A PID that fails
+gives the same error class, HTTP status and exit code on every path.
 
 The oracle splits lines with ``str.splitlines()``, which also breaks on
 ``\\r``, ``\\x0b``, ``\\x0c``, ``\\x1c``-``\\x1e``, ``\\x85``, U+2028 and
@@ -19,10 +20,11 @@ U+2029; arkslice keeps those inside a cell. Generated cells leave them out.
 import http.client
 import json
 import random
+import socket
 
 import pytest
 
-from arkslice.catalog import DataSource
+from arkslice import errors
 from arkslice.cli import main
 from arkslice.http_service import App, ServiceConfig, start_background
 from arkslice.pid_grammar import parse_pid
@@ -220,6 +222,44 @@ def test_cli_stdout_bytes_match_oracle(world, capsysbinary):
         assert capsysbinary.readouterr().out == want[pid], pid
 
 
+# PIDs that fail, and the error each path must report.
+FAILING = [
+    (f"ark:/{NAAN}/neg.XXX.V@*", errors.UnknownSensor),
+    (f"ark:/{NAAN}/neg.HPE+WOE.X@*", errors.UnknownMeasurement),
+    (f"ark:/{NAAN}/nope.HPE.V@*", errors.NotFound),
+    (f"ark:/{NAAN}/neg.HPE.V@5~2", errors.InvalidRange),
+    (f"ark:/{NAAN}/neg.HPE.V+V@*", errors.DuplicateName),
+    (f"ark:/{NAAN}/neg.HPE.V", errors.MalformedPid),
+]
+
+
+def http10(port, path):
+    """Status and body of one HTTP/1.0 GET; the server closes after it."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(f"GET {path} HTTP/1.0\r\n\r\n".encode())
+        reply = b"".join(iter(lambda: sock.recv(65536), b""))
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.0 ")
+    return int(head.split()[1]), body
+
+
+def test_failing_pids_fail_alike_on_every_path(world, capsys):
+    app, config_path, _, _ = world
+    server, _ = start_background(app)
+    port = server.server_address[1]
+    try:
+        for pid, error in FAILING:
+            with pytest.raises(error):
+                q = parse_pid(pid)
+                select(app.catalog.dataset(q.dataset), q)
+            assert http10(port, "/" + pid)[0] == error.http_status, pid
+            assert main(["--config", str(config_path), "resolve", pid]) == error.exit_code
+            assert capsys.readouterr().out == ""
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_http_keep_alive_bytes_match_oracle(world):
     app, _, pids, want = world
     server, _ = start_background(app)
@@ -245,6 +285,9 @@ def test_http_keep_alive_bytes_match_oracle(world):
         conn.request("GET", location[location.index("/ark:/"):])
         resp = conn.getresponse()
         assert (resp.status, resp.read()) == (200, want[pid])
+        # HTTP/1.0, one connection per request.
+        for pid in pids[::10]:
+            assert http10(server.server_address[1], "/" + pid) == (200, want[pid])
     finally:
         conn.close()
         server.shutdown()
