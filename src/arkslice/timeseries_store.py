@@ -49,8 +49,10 @@ from .pid_grammar import PidQuery, effective_key_set
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 # Most rows a slice may have to be rendered by Python byte slices; larger
 # slices take the numpy gather, whose fixed cost per call only pays for
-# itself over many rows.
-RUN_ROWS = 128
+# itself over many rows. Measured, the gather wins above about 150 rows
+# when one sensor's fields form two runs and above about 500 when they
+# form one; three sensors need more still.
+RUN_ROWS = 256
 # Output bytes per numpy gather block, which bounds its index arrays.
 BLOCK_BYTES = 256 * 1024
 _COMMA, _NL, _MINUS, _ZERO = b",\n-0"
@@ -484,18 +486,20 @@ def _gather_rows(result: ResultSlice) -> list[bytes]:
     ats = [np.where(hit, s.positions, 0) * s.table.width
            for s, hit in zip(sources, hits)]
     owner = np.zeros(n, dtype=np.int64)  # the sensor a key comes from
-    for k in range(len(sources) - 1, -1, -1) if not single else ():
-        head = sources[k].table.starts.take(ats[k], mode="clip")
-        size = sources[k].table.starts.take(ats[k] + 1, mode="clip") - head
-        first[:, 0] = np.where(hits[k], head, first[:, 0])
-        length[:, 0] = np.where(hits[k], size, length[:, 0])
-        owner[hits[k]] = k
+    if not single:
+        for k in reversed(range(len(sources))):
+            head = sources[k].table.starts.take(ats[k], mode="clip")
+            size = sources[k].table.starts.take(ats[k] + 1, mode="clip") - head
+            first[:, 0] = np.where(hits[k], head, first[:, 0])
+            length[:, 0] = np.where(hits[k], size, length[:, 0])
+            owner[hits[k]] = k
     for c, (k, a, b) in enumerate(segs):
-        if k >= 0:
-            starts = sources[k].table.starts
-            first[:, c] = starts.take(ats[k] + a, mode="clip")
-            size = starts.take(ats[k] + b + 1, mode="clip") - first[:, c]
-            length[:, c] = np.where(hits[k], size, b - a + 1)
+        if k < 0:
+            continue
+        starts = sources[k].table.starts
+        first[:, c] = starts.take(ats[k] + a, mode="clip")
+        size = starts.take(ats[k] + b + 1, mode="clip") - first[:, c]
+        length[:, c] = np.where(hits[k], size, b - a + 1)
     row_ends = np.cumsum(length.sum(axis=1))
     cuts = np.searchsorted(row_ends, np.arange(BLOCK_BYTES, row_ends[-1], BLOCK_BYTES))
     bounds = [0, *cuts.tolist(), n]
