@@ -117,17 +117,20 @@ class SensorTable:
         """A measurement's cells, decoded, in key order."""
         j = self.field_index(measurement)
         n, w = self.row_count, self.width
-        # Each cell with the separator after it, which becomes the split point.
         rows_per_block = max(1, BLOCK_BYTES * n // len(self.data))
         cells: list[str] = []
         for lo in range(0, n, rows_per_block):
-            hi = min(n, lo + rows_per_block)
-            first = self.starts[lo * w + j:hi * w + j:w]
-            lengths = self.starts[lo * w + j + 1:hi * w + j + 1:w] - first
-            out = _gather(self.data_array, first, lengths)
-            out[np.cumsum(lengths) - 1] = _NL
-            cells += out.tobytes().decode("utf-8").split("\n")[:-1]
+            cells += self.cells(np.arange(lo * w + j, min(n, lo + rows_per_block) * w, w))
         return tuple(cells)
+
+    def cells(self, fields: np.ndarray) -> list[str]:
+        """The decoded text of the fields numbered ``fields`` in ``starts``."""
+        first = self.starts[fields]
+        lengths = self.starts[fields + 1] - first
+        # Each cell with the separator after it, which becomes the split point.
+        out = _gather(self.data_array, first, lengths)
+        out[np.cumsum(lengths) - 1] = _NL
+        return out.tobytes().decode("utf-8").split("\n")[:-1]
 
     @cached_property
     def columns(self) -> tuple[tuple[str, tuple[str, ...], None], ...]:
@@ -181,16 +184,15 @@ class ResultSlice:
         None where its sensor has no row at that timestamp."""
         columns = []
         for s in self.sources:
-            t = s.table
             hit = s.positions >= 0
-            at = s.positions[hit] * t.width
+            at = s.positions[hit] * s.table.width
             for a, b in s.runs:
                 for j in range(max(a, 1), b + 1):  # field 0 is the key
-                    cells = iter([
-                        t.data[x:y - 1].decode("utf-8") for x, y in
-                        zip(t.starts[at + j].tolist(), t.starts[at + j + 1].tolist())])
-                    columns.append(tuple(next(cells) if h else None
-                                         for h in hit.tolist()))
+                    cells = s.table.cells(at + j)
+                    if not s.complete:
+                        found = iter(cells)
+                        cells = [next(found) if h else None for h in hit.tolist()]
+                    columns.append(cells)
         return tuple(zip(self.timestamps.tolist(), zip(*columns)))
 
 
