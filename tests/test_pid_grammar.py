@@ -141,6 +141,31 @@ class TestSerialize:
         with pytest.raises(InvariantViolation):
             serialize_pid(q)
 
+    GOOD = dict(naan="57460", dataset="AMPds", sensors=("DWE",),
+                measurements=("V",), selector=RangeSelector.of(RangeTerm(1, 2)))
+
+    @pytest.mark.parametrize("change", [
+        {"naan": "57x60"},
+        {"naan": ""},
+        {"dataset": "AM.Pds"},
+        {"sensors": ("DWE", "H@E")},
+        {"measurements": ("V I",)},
+        {"sensors": ()},
+        {"sensors": ("DWE", "DWE")},
+        {"measurements": ("V", "I", "V")},
+        {"selector": RangeSelector(terms=(RangeTerm(1, 2),), wildcard=True)},
+        {"selector": RangeSelector()},
+        {"selector": RangeSelector.of(RangeTerm(1, 2), RangeTerm(9, 3))},
+        {"selector": RangeSelector.of(RangeTerm(-5, 3))},
+    ], ids=["non-digit-naan", "empty-naan", "bad-dataset", "bad-sensor",
+            "bad-measurement", "no-sensors", "duplicate-sensor",
+            "duplicate-measurement", "wildcard-with-terms",
+            "no-terms", "reversed-term", "negative-start"])
+    def test_query_the_grammar_cannot_express_is_refused(self, change):
+        q = PidQuery(**{**self.GOOD, **change})
+        with pytest.raises(InvariantViolation):
+            serialize_pid(q)
+
 
 class TestEffectiveKeySet:
     DOMAIN = list(range(1, 11))
