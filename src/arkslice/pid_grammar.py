@@ -21,6 +21,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import (
+    ArksliceError,
     BadNaan,
     DuplicateName,
     InvalidRange,
@@ -160,36 +161,14 @@ def parse_pid_body(body: str) -> dict:
     }
 
 
-def _validate_query(q: PidQuery) -> None:
-    if not q.naan or not _DIGITS_RE.match(q.naan):
-        raise InvariantViolation(f"bad NAAN {q.naan!r}")
-    for name in (q.dataset, *q.sensors, *q.measurements):
-        if not name or not NAME_RE.match(name):
-            raise InvariantViolation(f"bad name {name!r}")
-    if not q.sensors or not q.measurements:
-        raise InvariantViolation("sensors and measurements must be nonempty")
-    if len(set(q.sensors)) != len(q.sensors):
-        raise InvariantViolation("duplicate sensor")
-    if len(set(q.measurements)) != len(q.measurements):
-        raise InvariantViolation("duplicate measurement")
-    if q.selector.wildcard:
-        if q.selector.terms:
-            raise InvariantViolation("wildcard selector carries terms")
-    else:
-        if not q.selector.terms:
-            raise InvariantViolation("non-wildcard selector with no terms")
-        for t in q.selector.terms:
-            if t.start > t.end or t.start < 0:
-                raise InvariantViolation(f"bad term {t.start}~{t.end}")
-
-
 def serialize_pid(q: PidQuery) -> str:
     """Render a PidQuery back to its canonical PID string.
 
     ``parse_pid(serialize_pid(q)) == q`` exactly; the single-timestamp
-    shorthand is always expanded to the full ``t~t`` form.
+    shorthand is always expanded to the full ``t~t`` form. The string is
+    checked by parsing it: a query the grammar cannot express raises
+    ``InvariantViolation`` naming the reason.
     """
-    _validate_query(q)
     if q.selector.wildcard:
         sel = "*"
     else:
@@ -197,10 +176,17 @@ def serialize_pid(q: PidQuery) -> str:
             f"{'_' if t.exclude else ''}{t.start}~{t.end}"
             for t in q.selector.terms
         )
-    return (
+    text = (
         f"ark:/{q.naan}/{q.dataset}"
         f".{'+'.join(q.sensors)}.{'+'.join(q.measurements)}@{sel}"
     )
+    try:
+        parsed = parse_pid(text)
+    except ArksliceError as exc:
+        raise InvariantViolation(f"{text!r} does not parse: {exc}") from None
+    if parsed != q:
+        raise InvariantViolation(f"{text!r} parses to another query")
+    return text
 
 
 def _merged(spans) -> list[tuple[int, int]]:

@@ -166,6 +166,16 @@ class TestSerialize:
         with pytest.raises(InvariantViolation):
             serialize_pid(q)
 
+    @pytest.mark.parametrize("change, reason", [
+        ({"sensors": ("DWE", "DWE")}, "repeated sensor"),
+        ({"selector": RangeSelector.of(RangeTerm(9, 3))}, "reversed bounds 9~3"),
+        ({"selector": RangeSelector(terms=(RangeTerm(1, 2),), wildcard=True)},
+         "parses to another query"),
+    ])
+    def test_refusal_names_the_reason(self, change, reason):
+        with pytest.raises(InvariantViolation, match=reason):
+            serialize_pid(PidQuery(**{**self.GOOD, **change}))
+
 
 class TestEffectiveKeySet:
     DOMAIN = list(range(1, 11))
