@@ -41,6 +41,22 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def replace_file(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` whole: to ``<name>.tmp``, then renamed
+    over ``path``, so a reader sees the old bytes or the new ones."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
+def append_line(path: Path, record: dict) -> None:
+    """Append ``record`` to ``path`` as one sorted-key JSON line, making
+    the parent directory if needed."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
 @dataclass(frozen=True)
 class DataSource:
     id: str
@@ -199,13 +215,8 @@ class Catalog:
         return self.entries_dir / f"{dataset}.json"
 
     def _write_entry(self, entry: CatalogEntry) -> None:
-        path = self._entry_path(entry.dataset)
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(
-            json.dumps(entry.document(), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
-        os.replace(tmp, path)
+        doc = json.dumps(entry.document(), sort_keys=True, indent=2) + "\n"
+        replace_file(self._entry_path(entry.dataset), doc.encode("utf-8"))
 
     def _restore(self) -> None:
         records = {}
@@ -219,11 +230,6 @@ class Catalog:
                 tables = None
             records[entry.dataset] = CatalogRecord(entry, tables)
         self._records = records
-
-    def _log_event(self, event: ChangeEvent) -> None:
-        self.state_dir.mkdir(parents=True, exist_ok=True)
-        with open(self.events_log, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(asdict(event), sort_keys=True) + "\n")
 
     # --- loading ---
 
@@ -260,7 +266,7 @@ class Catalog:
         dest = self.cache_dir / source.id / dataset
         dest.mkdir(parents=True, exist_ok=True)
         for fname, data in fetched.items():
-            (dest / fname).write_bytes(data)
+            replace_file(dest / fname, data)
         return dest
 
     # --- operations ---
@@ -437,7 +443,7 @@ class Catalog:
                     )
 
             for event in events:
-                self._log_event(event)
+                append_line(self.events_log, asdict(event))
             return events
 
     def _remove(self, entry: CatalogEntry, events: list[ChangeEvent]) -> None:

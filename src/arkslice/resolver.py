@@ -11,16 +11,15 @@ namespaces cannot collide.
 from __future__ import annotations
 
 import json
-import os
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Union
 
 from . import timeseries_store
-from .catalog import Catalog
+from .catalog import Catalog, append_line, replace_file
 from .errors import (
     InvalidTarget,
     NotFound,
@@ -126,10 +125,8 @@ class Minter:
             self._rewrite(raw + b"\n")
 
     def _rewrite(self, raw: bytes) -> None:
-        tmp = self.log_path.with_name(self.log_path.name + ".tmp")
         try:
-            tmp.write_bytes(raw)
-            os.replace(tmp, self.log_path)
+            replace_file(self.log_path, raw)
         except OSError as exc:
             raise PersistenceError(f"cannot repair mint log: {exc}") from exc
 
@@ -141,37 +138,22 @@ class Minter:
         elif not _URL_RE.match(target):
             raise InvalidTarget(f"target {target!r} is neither a URL nor a PID")
 
-    def _append(self, binding: MintBinding) -> None:
+    def _append(self, noid: str, target: str) -> MintBinding:
+        """Log a binding, then apply it; the caller holds the lock."""
+        binding = MintBinding(noid, target, datetime.now(timezone.utc).isoformat())
         try:
-            self.log_path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.log_path, "a", encoding="utf-8") as fh:
-                fh.write(
-                    json.dumps(
-                        {
-                            "noid": binding.noid,
-                            "target": binding.target,
-                            "created_at": binding.created_at,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-                fh.flush()
+            append_line(self.log_path, asdict(binding))
         except OSError as exc:
             raise PersistenceError(f"cannot append to mint log: {exc}") from exc
+        self.bindings[noid] = binding
+        return binding
 
     def mint(self, target: str) -> MintBinding:
         """Bind a fresh NOID to a target URL or semantic PID."""
         self._validate_target(target)
         with self._lock:
-            binding = MintBinding(
-                noid=encode_noid(self._counter),
-                target=target,
-                created_at=datetime.now(timezone.utc).isoformat(),
-            )
-            self._append(binding)
+            binding = self._append(encode_noid(self._counter), target)
             self._counter += 1
-            self.bindings[binding.noid] = binding
         return binding
 
     def rebind(self, noid: str, target: str) -> MintBinding:
@@ -180,14 +162,7 @@ class Minter:
             raise NotFound(f"NOID {noid!r} was never minted")
         self._validate_target(target)
         with self._lock:
-            binding = MintBinding(
-                noid=noid,
-                target=target,
-                created_at=datetime.now(timezone.utc).isoformat(),
-            )
-            self._append(binding)
-            self.bindings[noid] = binding
-        return binding
+            return self._append(noid, target)
 
     def binding(self, noid: str) -> Optional[MintBinding]:
         return self.bindings.get(noid)
