@@ -47,7 +47,7 @@ def _print_resolution(result: Resolution) -> None:
     elif isinstance(result, Info):
         _write(json_bytes(result.document))
     else:
-        _write(render_csv(result.slice).encode("utf-8"))
+        _write(render_csv(result.slice))
 
 
 @click.group()

@@ -253,7 +253,7 @@ class ResolverHandler(BaseHTTPRequestHandler):
                        json_bytes(result.document))
         elif isinstance(result, Data):
             self._send(200, "text/csv; charset=utf-8",
-                       render_csv(result.slice).encode("utf-8"))
+                       render_csv(result.slice))
 
     def _read_json_body(self) -> dict:
         declared = self.headers.get("Content-Length", "0")

@@ -389,14 +389,14 @@ def select(dataset: Dataset, q: PidQuery) -> ResultSlice:
     return ResultSlice(tuple(header), ts, tuple(sources))
 
 
-def render_csv(result: ResultSlice) -> str:
-    """Render a ResultSlice as CSV text, one '\\n' after every line."""
+def render_csv(result: ResultSlice) -> bytes:
+    """Render a ResultSlice as UTF-8 CSV bytes, one '\\n' after every line."""
     head = (",".join(result.header) + "\n").encode("utf-8")
     n = len(result.timestamps)
     body = _whole_rows(result) if n else []
     if body is None:
         body = _join_rows(result) if n <= RUN_ROWS else _gather_rows(result)
-    return b"".join([head, *body]).decode("utf-8")
+    return b"".join([head, *body])
 
 
 def _whole_rows(result: ResultSlice) -> Optional[list[bytes]]:

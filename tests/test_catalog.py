@@ -401,7 +401,7 @@ def test_register_hashes_the_bytes_it_loaded(tmp_path, monkeypatch):
     assert [e.kind for e in cat.crawl()] == ["modified"]
     monkeypatch.setattr(timeseries_store, "load_sensor_csv", load)
     assert [e.kind for e in cat.crawl()] == ["modified"]
-    assert slice_of(cat, "D", "3") == "timestamp,V\n3,c\n"
+    assert slice_of(cat, "D", "3") == b"timestamp,V\n3,c\n"
     assert cat.lookup("D").content_hash == content_hash([path])
 
 
@@ -417,8 +417,8 @@ def test_crawl_records_a_file_that_is_not_utf8_and_goes_on(tmp_path):
     assert {name: e.kind for name, e in events.items()} == {
         "A": "source_error", "B": "modified"}
     assert "X.csv" in events["A"].error and "byte 11" in events["A"].error
-    assert slice_of(cat, "A") == "timestamp,V\n1,a\n"  # the last good bytes
-    assert slice_of(cat, "B") == "timestamp,V\n1,a\n2,b\n"
+    assert slice_of(cat, "A") == b"timestamp,V\n1,a\n"  # the last good bytes
+    assert slice_of(cat, "B") == b"timestamp,V\n1,a\n2,b\n"
 
 
 def test_restart_serves_a_dataset_that_is_not_utf8_as_not_found(tmp_path):
@@ -430,4 +430,4 @@ def test_restart_serves_a_dataset_that_is_not_utf8_as_not_found(tmp_path):
         restarted.dataset("A")
     assert err.value.http_status == 404
     assert restarted.lookup("A").dataset == "A"
-    assert slice_of(restarted, "B") == "timestamp,V\n1,a\n"
+    assert slice_of(restarted, "B") == b"timestamp,V\n1,a\n"

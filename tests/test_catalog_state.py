@@ -19,7 +19,7 @@ from arkslice.timeseries_store import render_csv
 from conftest import DATASET, FIXTURE_METADATA, NAAN, write_fixture
 
 
-def resolve_text(app, body: str) -> str:
+def resolve_text(app, body: str) -> bytes:
     return render_csv(app.resolver.resolve(NAAN, body).slice)
 
 
@@ -47,8 +47,8 @@ def test_crawl_refreshes_from_the_registered_directory(app, tmp_path, default_di
     assert sorted(s["name"] for s in entry.sensors) == ["DWE", "HPE", "WOE"]
     for body in (f"{DATASET}.DWE.V+I@25611", f"{DATASET}.WOE.V@*"):
         assert resolve_text(app, body) == oracle.resolve_csv(
-            mine, f"ark:/{NAAN}/{body}")
-    assert resolve_text(app, f"{DATASET}.DWE.V@25611") == "timestamp,V\n25611,1.0\n"
+            mine, f"ark:/{NAAN}/{body}").encode("utf-8")
+    assert resolve_text(app, f"{DATASET}.DWE.V@25611") == b"timestamp,V\n25611,1.0\n"
 
 
 @pytest.fixture

@@ -135,7 +135,7 @@ class CatalogMachine(RuleBasedStateMachine):
                 pid = f"ark:/{NAAN}/{name}.{Path(f).stem}.V@*"
                 got = render_csv(self.app.resolver.resolve(
                     NAAN, pid.split("/", 2)[2]).slice)
-                assert got == oracle.resolve_csv(self.root / name, pid)
+                assert got == oracle.resolve_csv(self.root / name, pid).encode("utf-8")
 
     @rule()
     def restart(self):

@@ -178,9 +178,9 @@ def test_render_csv_newlines():
     ds = fixture_dataset()
     q = parse_pid("ark:/57460/AMPds.DWE.V@13300~13302")
     text = render_csv(select(ds, q))
-    lines = text.split("\n")
-    assert text.endswith("\n") and not text.endswith("\n\n")
-    assert lines[0] == "timestamp,V"
+    lines = text.split(b"\n")
+    assert text.endswith(b"\n") and not text.endswith(b"\n\n")
+    assert lines[0] == b"timestamp,V"
     assert len(lines) == 5  # header + 3 rows + empty tail from final \n
 
 
@@ -338,7 +338,7 @@ def test_join_matches_brute_force(case):
     q = PidQuery(naan=NAAN, dataset="D", sensors=sensors,
                  measurements=measurements, selector=sel)
     got = render_csv(select(Dataset(name="D", sensors=tables), q))
-    want = brute_force_csv(tables, sensors, measurements, sel)
+    want = brute_force_csv(tables, sensors, measurements, sel).encode("utf-8")
     # Compared as lists of lines: pytest explains a list mismatch by its
     # first differing line, where a diff of two long strings takes minutes.
     assert got.splitlines(True) == want.splitlines(True)
@@ -397,7 +397,7 @@ class TestByteLoad:
         assert table.key == (0, 5, 7, 9, 10, 11)
         q = parse_pid("ark:/57460/D.DWE.V@*")
         assert render_csv(select(Dataset("D", {"DWE": table}), q)) == (
-            "timestamp,V\n0,e\n5,a\n7,b\n9,c\n10,d\n11,f\n")
+            b"timestamp,V\n0,e\n5,a\n7,b\n9,c\n10,d\n11,f\n")
 
     def test_not_utf8_names_file_and_offset(self, tmp_path):
         path = tmp_path / "DWE.csv"
