@@ -55,23 +55,12 @@ class ServiceConfig:
 
     @classmethod
     def from_file(cls, path) -> "ServiceConfig":
+        """The config a JSON document states; what it leaves out keeps the
+        dataclass default."""
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        sources = [
-            DataSource(
-                id=s["id"],
-                root=s["root"],
-                kind=s.get("kind", "local_directory"),
-            )
-            for s in doc.get("sources", [])
-        ]
-        return cls(
-            host=doc.get("host", "127.0.0.1"),
-            port=doc.get("port", 8057),
-            naans=[str(n) for n in doc.get("naans", ["57460"])],
-            sources=sources,
-            state_dir=doc.get("state_dir", "state"),
-            base_url=doc.get("base_url", ""),
-        )
+        if "sources" in doc:
+            doc["sources"] = [DataSource(**s) for s in doc["sources"]]
+        return cls(**doc)
 
 
 class App:
