@@ -24,6 +24,7 @@ from typing import NamedTuple, Optional
 from . import timeseries_store, type_registry
 from .errors import (
     ArksliceError,
+    ConfigError,
     DuplicateDataset,
     IoError,
     LoadError,
@@ -57,11 +58,19 @@ def append_line(path: Path, record: dict) -> None:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+SOURCE_KINDS = ("local_directory", "remote_http")
+
+
 @dataclass(frozen=True)
 class DataSource:
     id: str
     root: str
-    kind: str = "local_directory"  # or "remote_http"
+    kind: str = "local_directory"
+
+    def __post_init__(self):
+        if self.kind not in SOURCE_KINDS:
+            raise ConfigError(f"source {self.id!r}: unknown kind {self.kind!r}, "
+                              f"expected one of {SOURCE_KINDS}")
 
 
 @dataclass

@@ -13,6 +13,12 @@ class ArksliceError(Exception):
     exit_code = 1
 
 
+# --- config ---
+
+class ConfigError(ArksliceError):
+    """The service config names a key, NAAN or source it cannot honour."""
+
+
 # --- PID grammar ---
 
 class MalformedPid(ArksliceError):

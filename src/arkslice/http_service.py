@@ -30,7 +30,7 @@ from pathlib import Path
 from urllib.parse import parse_qs, quote, unquote
 
 from .catalog import Catalog, DataSource
-from .errors import ArksliceError, InvalidTarget, NotFound
+from .errors import ArksliceError, ConfigError, InvalidTarget, NotFound
 from .pid_grammar import split_ark
 from .resolver import Data, Info, Minter, Redirect, Resolver
 from .timeseries_store import render_csv
@@ -48,19 +48,31 @@ class ServiceConfig:
     base_url: str = ""
 
     def __post_init__(self):
-        if not self.naans:
-            raise ValueError("at least one NAAN must be configured")
+        naans = self.naans
+        if not (isinstance(naans, list) and naans and all(
+                isinstance(n, str) and n.isascii() and n.isdigit() for n in naans)):
+            raise ConfigError(
+                f"naans must be a non-empty list of decimal NAANs, got {naans!r}")
+        ids = [s.id for s in self.sources]
+        if len(set(ids)) != len(ids):
+            raise ConfigError(f"sources: each id must be used once, got {ids}")
         if not self.base_url:
             self.base_url = f"http://{self.host}:{self.port}"
 
     @classmethod
     def from_file(cls, path) -> "ServiceConfig":
         """The config a JSON document states; what it leaves out keeps the
-        dataclass default."""
+        dataclass default. A key it does not know, or a source without an
+        ``id`` or ``root``, is a ``ConfigError`` that names the key."""
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        if "sources" in doc:
-            doc["sources"] = [DataSource(**s) for s in doc["sources"]]
-        return cls(**doc)
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: a config is a JSON object")
+        try:
+            if "sources" in doc:
+                doc["sources"] = [DataSource(**s) for s in doc["sources"]]
+            return cls(**doc)
+        except TypeError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 class App:

@@ -9,8 +9,9 @@ import requests
 
 import arkslice
 from arkslice import errors
-from arkslice.catalog import Catalog
+from arkslice.catalog import Catalog, DataSource
 from arkslice.cli import main, strip_scheme_host
+from arkslice.http_service import ServiceConfig
 
 import oracle
 from conftest import DATASET, NAAN, write_fixture
@@ -166,6 +167,7 @@ def test_cli_http_info_equivalence(capsys, config_path, live_server):
 # (HTTP status, CLI exit code) of every error class.
 ERROR_TABLE = {
     errors.ArksliceError: (500, 1),
+    errors.ConfigError: (500, 1),
     errors.MalformedPid: (400, 1),
     errors.InvalidRange: (400, 1),
     errors.DuplicateName: (400, 1),
@@ -236,3 +238,40 @@ def test_resolve_writes_the_files_utf8_bytes_whatever_the_locale(
         capture_output=True, env=env, timeout=60)
     assert (done.returncode, done.stderr) == (0, b"")
     assert done.stdout == oracle.resolve_csv(data_dir, pid).encode("utf-8")
+
+
+GOOD_SOURCE = {"id": "local", "root": "data"}
+
+
+@pytest.mark.parametrize("change, key", [
+    pytest.param({"naans": "57460"}, "naans", id="naans-a-string"),
+    pytest.param({"naans": []}, "naans", id="naans-empty"),
+    pytest.param({"naans": ["57x60"]}, "naans", id="naan-not-digits"),
+    pytest.param({"naans": [57460]}, "naans", id="naan-a-number"),
+    pytest.param({"sources": [{**GOOD_SOURCE, "kind": "remote-http"}]},
+                 "kind", id="unknown-kind"),
+    pytest.param({"sources": [{"root": "data"}]}, "'id'", id="source-without-id"),
+    pytest.param({"sources": [{"id": "local"}]}, "'root'", id="source-without-root"),
+    pytest.param({"sources": [GOOD_SOURCE, {**GOOD_SOURCE, "root": "other"}]},
+                 "'local'", id="duplicate-source-id"),
+    pytest.param({"nans": ["57460"]}, "'nans'", id="unknown-key"),
+    pytest.param({"sources": [{**GOOD_SOURCE, "type": "local_directory"}]},
+                 "'type'", id="unknown-source-key"),
+])
+def test_config_that_cannot_be_honoured_is_refused(capsys, tmp_path, change, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"naans": [NAAN], "state_dir": str(tmp_path / "state"), **change}))
+    for command in (["search"], ["mint", "--target", "https://example.org/x"]):
+        code, out, err = run(capsys, "--config", str(config), *command)
+        assert (code, out) == (errors.ConfigError.exit_code, "")
+        assert err.startswith("error: ") and key in err, err
+    assert not (tmp_path / "state").exists()
+
+
+def test_config_fields_left_out_keep_their_defaults(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"sources": [GOOD_SOURCE]}))
+    got = ServiceConfig.from_file(config)
+    assert got == ServiceConfig(sources=[DataSource("local", "data")])
+    assert (got.naans, got.base_url) == (["57460"], "http://127.0.0.1:8057")
