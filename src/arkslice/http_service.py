@@ -27,6 +27,7 @@ import threading
 from dataclasses import asdict, dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import Optional
 from urllib.parse import parse_qs, quote, unquote
 
 from .catalog import Catalog, DataSource
@@ -145,15 +146,29 @@ class ResolverHandler(BaseHTTPRequestHandler):
             self.close_connection = True
         super().send_response_only(code, message)
 
+    def _content_length(self) -> Optional[int]:
+        """The declared body length, 0 without a ``Content-Length``. None
+        unless there is one such header and its value is ASCII digits
+        (RFC 9112 §6.3): no ``+``, ``_``, sign or second header, so this
+        server and any proxy before it find the same end of the body."""
+        lengths = self.headers.get_all("Content-Length", ["0"])
+        value = lengths[0].strip(" \t")
+        if len(lengths) == 1 and value.isascii() and value.isdigit():
+            return int(value)
+        return None
+
     def handle_expect_100(self):
         """Invite the body only of a mint that will read all of it. Any
         other ``Expect: 100-continue`` gets a 417 and the connection closed,
-        so no client is asked for a body the server would leave unread."""
-        lengths = self.headers.get_all("Content-Length", [])
+        so no client is asked for a body the server would leave unread; a
+        bad ``Content-Length`` is left to the 400 every request gets."""
+        length = self._content_length()
+        if length is None:
+            return True
         if (self.command == "POST" and self._split_target()[0] == "/mint"
                 and "Transfer-Encoding" not in self.headers
-                and len(lengths) == 1 and lengths[0].isdecimal()
-                and int(lengths[0]) <= MAX_BODY_BYTES):
+                and "Content-Length" in self.headers
+                and length <= MAX_BODY_BYTES):
             return super().handle_expect_100()
         self.close_connection = True
         self._body_read = False
@@ -164,10 +179,10 @@ class ResolverHandler(BaseHTTPRequestHandler):
     def _body_unread(self) -> bool:
         """Whether request body bytes may be left on the connection, so the
         start of the next request cannot be found."""
-        lengths = self.headers.get_all("Content-Length", [])
-        if "Transfer-Encoding" in self.headers or len(lengths) > 1:
+        length = self._content_length()
+        if "Transfer-Encoding" in self.headers or length is None:
             return True
-        return not self._body_read and lengths not in ([], ["0"])
+        return not self._body_read and length != 0
 
     def _send(self, status: int, content_type: str, body: bytes, headers=()):
         self.send_response(status)
@@ -208,6 +223,10 @@ class ResolverHandler(BaseHTTPRequestHandler):
         path, query = self._split_target()
         self._body_read = False
         self._reply_started = False
+        if self._content_length() is None:
+            bad = self.headers.get_all("Content-Length")
+            self._error(400, f"bad Content-Length {bad!r}")  # and closes
+            return
         try:
             route(path, query)
         except Exception as exc:
@@ -257,13 +276,7 @@ class ResolverHandler(BaseHTTPRequestHandler):
                        render_csv(result.slice))
 
     def _read_json_body(self) -> dict:
-        declared = self.headers.get("Content-Length", "0")
-        try:
-            length = int(declared)
-        except ValueError:
-            length = -1
-        if length < 0:
-            raise InvalidTarget(f"bad Content-Length {declared!r}")
+        length = self._content_length()  # _respond refused a bad one
         if length > MAX_BODY_BYTES:
             raise InvalidTarget(
                 f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"

@@ -464,6 +464,37 @@ class TestUntrustedBodyCloses:
         assert app.minter.bindings == {}
 
 
+class TestContentLengthIsDigits:
+    """RFC 9112 §6.3: a ``Content-Length`` that is not ASCII digits leaves
+    the body's end unknown, so the request gets a 400 and a close, and a
+    request pipelined behind its body is never answered."""
+
+    MINT_29 = b'{"target": "http://x.org/ab"}'
+
+    @pytest.mark.parametrize("declared", [b"+29", b"2_9"])
+    @pytest.mark.parametrize("expect", [b"", b"Expect: 100-continue\r\n"],
+                             ids=["plain", "expect-100"])
+    def test_mint_gets_400_and_close(self, live_server, declared, expect):
+        app, _ = live_server
+        request = (b"POST /mint HTTP/1.1\r\nContent-Length: " + declared
+                   + b"\r\n" + expect + b"\r\n" + self.MINT_29)
+        head = one_reply_then_eof(app.config.port, request)
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close\r\n" in head
+        assert app.minter.bindings == {}
+
+    def test_whitespace_around_the_digits_is_not_part_of_the_value(
+            self, live_server):
+        app, _ = live_server
+        with socket.create_connection(("127.0.0.1", app.config.port),
+                                      timeout=5) as sock:
+            head, _ = reply_then_health(
+                sock, b"POST /mint HTTP/1.1\r\nContent-Length:  29 \r\n\r\n"
+                + self.MINT_29)
+        assert head.startswith(b"HTTP/1.1 201 ")
+        assert len(app.minter.bindings) == 1
+
+
 def reply_then_health(sock, request: bytes) -> tuple[bytes, bytes]:
     """Send ``request`` and a pipelined ``GET /health`` that asks to close;
     return the first reply, asserting the second is the health reply and
