@@ -270,8 +270,9 @@ class Catalog:
                     fetched[fname] = resp.read()
             except OSError as exc:
                 raise IoError(f"fetch failed for {url}: {exc}") from exc
-        # Write only once every file arrived, so a failed fetch leaves the
-        # cached copy as it was.
+            SensorTable.from_bytes(Path(fname).stem, fetched[fname], url)
+        # Write only once every file arrived and parsed, so a failed fetch or
+        # a bad file leaves the cached copy as it was.
         dest = self.cache_dir / source.id / dataset
         dest.mkdir(parents=True, exist_ok=True)
         for fname, data in fetched.items():

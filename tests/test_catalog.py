@@ -20,6 +20,7 @@ from arkslice.errors import DuplicateDataset, LoadError, NotFound
 from arkslice.pid_grammar import parse_pid
 from arkslice.timeseries_store import render_csv, select
 
+import oracle
 from conftest import DATASET, FIXTURE_METADATA, write_fixture
 
 GOLDEN_SENSORS = Path(__file__).parent / "data" / "catalog_sensors_golden.json"
@@ -328,6 +329,29 @@ class TestRemoteSource:
         # Back up: the entry was never lost, so nothing changed.
         (root / "unavailable").unlink()
         assert cat.crawl() == []
+
+    def test_bad_remote_file_never_reaches_the_cache(self, tmp_path, file_server):
+        root, base = file_server
+        source = DataSource(id="remote", root=base, kind="remote_http")
+        cat = Catalog(tmp_path / "state5", [source])
+        cat.register_dataset(
+            source, "AMPds-remote", sensor_files=["HPE.csv", "DWE.csv", "WOE.csv"])
+        good = tmp_path / "good"
+        shutil.copytree(root / "AMPds-remote", good)
+        # HPE gains a good row, then DWE a ragged one: neither is cached.
+        for name, row in (("HPE", "25612,1.0,2.0\n"), ("DWE", "25612,1.0\n")):
+            path = root / "AMPds-remote" / f"{name}.csv"
+            path.write_text(path.read_text() + row)
+        events = cat.crawl()
+        assert [e.kind for e in events] == ["source_error"]
+        assert f"{base}/AMPds-remote/DWE.csv" in events[0].error
+        restarted = Catalog(tmp_path / "state5", [source])
+        assert restarted.crawl()[0].kind == "source_error"
+        for sensor in ("HPE", "DWE"):
+            pid = f"ark:/57460/AMPds-remote.{sensor}.V@*"
+            q = parse_pid(pid)
+            got = render_csv(select(restarted.dataset("AMPds-remote"), q))
+            assert got == oracle.resolve_csv(good, pid).encode("utf-8")
 
     def test_needs_sensor_list(self, tmp_path, file_server):
         _, base = file_server
