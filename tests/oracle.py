@@ -9,7 +9,10 @@ from pathlib import Path
 
 
 def read_table(path):
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    # Lines end at "\n" (or "\r\n") only; every other character that
+    # str.splitlines() would break on stays inside its cell.
+    text = Path(path).read_bytes().decode("utf-8").replace("\r\n", "\n")
+    lines = text.removesuffix("\n").split("\n")
     header = lines[0].split(",")
     rows = {}
     for line in lines[1:]:

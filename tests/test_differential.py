@@ -12,9 +12,11 @@ for byte: ``select`` plus ``render_csv`` in process, the CLI's stdout,
 HTTP/1.1 over one keep-alive connection and HTTP/1.0. A PID that fails
 gives the same error class, HTTP status and exit code on every path.
 
-The oracle splits lines with ``str.splitlines()``, which also breaks on
-``\\r``, ``\\x0b``, ``\\x0c``, ``\\x1c``-``\\x1e``, ``\\x85``, U+2028 and
-U+2029; arkslice keeps those inside a cell. Generated cells leave them out.
+Lines end at ``\\n`` or ``\\r\\n`` only, in the oracle as in arkslice.
+Generated cells also hold the other characters ``str.splitlines()``
+breaks on: ``\\x0b``, ``\\x0c``, ``\\x1c``-``\\x1e``, ``\\x85``, U+2028,
+U+2029, and a ``\\r`` inside a cell (never at its end, where a CRLF file
+could not tell it from the line end). Each must come out inside its cell.
 """
 
 import http.client
@@ -49,6 +51,9 @@ SHAPES = {
     "WOE": ("\n", True, False),
 }
 NON_ASCII = ("été", "温度", "Ω", "😀", "naïve café", "ß")
+# Characters str.splitlines() breaks on that are not a line end in a file.
+NOT_LINE_ENDS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                 "\u2028", "\u2029", "\r")
 FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
 # name -> (first key, step); "neg" crosses zero, "epoch" is minute data.
 DATASETS = {"neg": (-RUN_ROWS, 1), "epoch": (1333238400, 60)}
@@ -78,6 +83,8 @@ def cell(rng):
         return ""
     if r < 0.2:
         return rng.choice(NON_ASCII)
+    if r < 0.3:  # text on both sides, so a "\r" never ends the cell
+        return f"a{rng.choice(NOT_LINE_ENDS)}{rng.choice(NON_ASCII)}"
     return f"{rng.uniform(-500.0, 500.0):.{rng.randint(0, 4)}f}"
 
 
@@ -193,6 +200,8 @@ def test_generated_slices_cross_run_rows(world):
     assert any(n == 0 for n in rows)
     assert any(b",," in body or b",\n" in body for body in want.values())
     assert any("é".encode() in body for body in want.values())
+    for ch in NOT_LINE_ENDS:
+        assert any(f"a{ch}".encode() in body for body in want.values()), ch
 
 
 def test_in_process_bytes_match_oracle(world):
