@@ -325,7 +325,7 @@ class Catalog:
             digest = hashlib.sha256()
             for path in files:
                 name = path.stem
-                if not NAME_RE.match(name):
+                if not NAME_RE.fullmatch(name):
                     raise LoadError(
                         f"sensor file name {path.name!r} is not a valid name")
                 table = timeseries_store.load_sensor_csv(path, name, digest)
@@ -431,7 +431,7 @@ class Catalog:
                 if not root.is_dir():
                     continue
                 for child in sorted(root.iterdir()):
-                    if not child.is_dir() or not NAME_RE.match(child.name):
+                    if not child.is_dir() or not NAME_RE.fullmatch(child.name):
                         continue
                     if child.name in self._records:
                         continue

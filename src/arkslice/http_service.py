@@ -32,7 +32,7 @@ from urllib.parse import parse_qs, quote, unquote
 
 from .catalog import Catalog, DataSource
 from .errors import ArksliceError, ConfigError, InvalidTarget, NotFound
-from .pid_grammar import split_ark
+from .pid_grammar import is_decimal, split_ark
 from .resolver import Data, Info, Minter, Redirect, Resolver
 from .timeseries_store import render_csv
 
@@ -51,7 +51,7 @@ class ServiceConfig:
     def __post_init__(self):
         naans = self.naans
         if not (isinstance(naans, list) and naans and all(
-                isinstance(n, str) and n.isascii() and n.isdigit() for n in naans)):
+                isinstance(n, str) and is_decimal(n) for n in naans)):
             raise ConfigError(
                 f"naans must be a non-empty list of decimal NAANs, got {naans!r}")
         ids = [s.id for s in self.sources]
@@ -105,11 +105,11 @@ _NOT_PRINTABLE_ASCII = re.compile(r"[^ -~]")
 
 def header_safe_url(url: str) -> str:
     """``url`` with every character outside printable ASCII percent-encoded
-    as UTF-8. A redirect's suffix is percent-decoded from the request path
-    and a minted target is any string the URL pattern lets through, so
-    either may hold a CR or LF that would end the reply's head early, or a
-    character the head's latin-1 cannot carry. A lone surrogate, which no
-    URL can hold, becomes ``%3F``."""
+    as UTF-8. A redirect's suffix is percent-decoded from the request path,
+    and a mint log written before the URL pattern matched whole strings may
+    bind a target ending in LF, so either may hold a CR or LF that would
+    end the reply's head early, or a character the head's latin-1 cannot
+    carry. A lone surrogate, which no URL can hold, becomes ``%3F``."""
     return _NOT_PRINTABLE_ASCII.sub(
         lambda m: quote(m.group(), safe="", errors="replace"), url)
 
@@ -153,7 +153,7 @@ class ResolverHandler(BaseHTTPRequestHandler):
         server and any proxy before it find the same end of the body."""
         lengths = self.headers.get_all("Content-Length", ["0"])
         value = lengths[0].strip(" \t")
-        if len(lengths) == 1 and value.isascii() and value.isdigit():
+        if len(lengths) == 1 and is_decimal(value):
             return int(value)
         return None
 

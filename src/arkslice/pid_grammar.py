@@ -29,8 +29,12 @@ from .errors import (
     MalformedPid,
 )
 
-NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
-_DIGITS_RE = re.compile(r"^[0-9]+$")
+NAME_RE = re.compile(r"[A-Za-z0-9_-]+")  # fullmatch: "$" lets a final "\n" by
+
+
+def is_decimal(text: str) -> bool:
+    """Whether ``text`` is a nonempty run of ASCII digits ``0``-``9``."""
+    return text.isascii() and text.isdigit()
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,7 @@ class PidQuery:
 def _check_name(name: str, what: str) -> str:
     if not name:
         raise MalformedPid(f"empty {what}")
-    if not NAME_RE.match(name):
+    if not NAME_RE.fullmatch(name):
         raise MalformedPid(f"illegal character in {what} {name!r}")
     return name
 
@@ -85,7 +89,7 @@ def _parse_namelist(text: str, what: str) -> tuple[str, ...]:
 
 
 def _parse_bound(text: str) -> int:
-    if not _DIGITS_RE.match(text):
+    if not is_decimal(text):
         raise InvalidRange(f"non-integer bound {text!r}")
     return int(text)
 
@@ -134,7 +138,7 @@ def split_ark(text: str) -> tuple[str, str]:
 def parse_pid(text: str) -> PidQuery:
     """Parse a full ``ark:/...`` PID string into a PidQuery."""
     naan, body = split_ark(text)
-    if not naan or not _DIGITS_RE.match(naan):
+    if not is_decimal(naan):
         raise BadNaan(f"NAAN must be decimal digits, got {naan!r}")
     return PidQuery(naan=naan, **parse_pid_body(body))
 

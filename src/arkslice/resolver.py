@@ -39,8 +39,8 @@ from .timeseries_store import ResultSlice
 
 BETANUMERIC = "0123456789bcdfghjkmnpqrstvwxz"
 NOID_MIN_WIDTH = 4
-_NOID_RE = re.compile(f"^[{BETANUMERIC}]+$")
-_URL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*://\S+$")
+_NOID_RE = re.compile(f"[{BETANUMERIC}]+")
+_URL_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://\S+")
 
 
 def encode_noid(counter: int) -> str:
@@ -135,7 +135,7 @@ class Minter:
             raise InvalidTarget("target must be a nonempty string")
         if target.startswith("ark:"):
             parse_pid(target)  # raises on malformed semantic PIDs
-        elif not _URL_RE.match(target):
+        elif not _URL_RE.fullmatch(target):
             raise InvalidTarget(f"target {target!r} is neither a URL nor a PID")
 
     def _append(self, noid: str, target: str) -> MintBinding:
@@ -193,7 +193,7 @@ class Resolver:
         if naan not in self.naans:
             raise UnknownNaan(f"this resolver does not serve NAAN {naan!r}")
         head, slash, suffix = path_remainder.partition("/")
-        if "." not in head and _NOID_RE.match(head or " "):
+        if _NOID_RE.fullmatch(head):
             binding = self.minter.binding(head)
             if binding is None:
                 raise NotFound(f"no binding for NOID {head!r}")

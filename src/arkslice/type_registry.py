@@ -58,15 +58,15 @@ BASIC_OF_DERIVED = {
     "lookup": "pointer",
 }
 
-_REAL_RE = re.compile(r"^[+-]?([0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)$")
+_REAL_RE = re.compile(r"[+-]?([0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)")
 # A plain number; the group that matched (``lastindex``) names its kind.
 _NUMBER_RE = re.compile(
-    r"^[+-]?(?:([0-9]+)"
+    r"[+-]?(?:([0-9]+)"
     r"|([0-9]+\.[0-9]*|\.[0-9]+)"
-    r"|((?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][+-]?[0-9]+))$"
+    r"|((?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][+-]?[0-9]+))"
 )
 _INT, _REAL, _SCI = 1, 2, 3
-_PCT_RE = re.compile(r"^[+-]?[0-9]+(\.[0-9]+)?%$")
+_PCT_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?%")
 _CURRENCY_SYMBOLS = {"$": "$", "€": "Euro", "¥": "Yen"}
 
 # Integer keys at or above this look like Unix epoch timestamps.
@@ -125,7 +125,7 @@ def _currency_derived(cells: set[str]) -> Optional[str]:
     for c in cells:
         if len(c) < 2 or c[0] not in _CURRENCY_SYMBOLS:
             return None
-        if not _REAL_RE.match(c[1:]):
+        if not _REAL_RE.fullmatch(c[1:]):
             return None
         names.add(_CURRENCY_SYMBOLS[c[0]])
     return names.pop() if len(names) == 1 else "$"
@@ -134,7 +134,7 @@ def _currency_derived(cells: set[str]) -> Optional[str]:
 def _number_kinds(values: set[str]) -> Optional[set[int]]:
     """The kinds (``_INT``/``_REAL``/``_SCI``) among ``values``, or None
     when some value is not a plain number."""
-    matches = list(map(_NUMBER_RE.match, values))
+    matches = list(map(_NUMBER_RE.fullmatch, values))
     if None in matches:
         return None
     return {m.lastindex for m in matches}
@@ -167,7 +167,7 @@ def infer_column_type(cells: Sequence[str], is_key: bool = False) -> TypeDescrip
     derived = _boolean_derived(values)
     if derived is not None:
         return TypeDescriptor("boolean", derived)
-    if all(_PCT_RE.match(c) for c in values):
+    if all(_PCT_RE.fullmatch(c) for c in values):
         return TypeDescriptor("number", "percentage")
     derived = _currency_derived(values)
     if derived is not None:
@@ -234,7 +234,7 @@ def numeric_values(cells: Sequence[str]) -> list[float]:
     Each distinct value is matched and parsed once; the floats come back
     in cell order.
     """
-    parsed = {c: float(c) for c in set(cells) if _NUMBER_RE.match(c)}
+    parsed = {c: float(c) for c in set(cells) if _NUMBER_RE.fullmatch(c)}
     return [v for v in map(parsed.get, cells) if v is not None]
 
 
@@ -248,7 +248,7 @@ def compute_correlation(table) -> CorrelationMatrix:
     cols: list[tuple[str, list[Optional[float]]]] = []
     for name, cells, _desc in table.columns:
         parsed = [
-            float(c) if _NUMBER_RE.match(c) else None
+            float(c) if _NUMBER_RE.fullmatch(c) else None
             for c in cells
         ]
         if any(v is not None for v in parsed):

@@ -239,6 +239,9 @@ FAILING = [
     (f"ark:/{NAAN}/neg.HPE.V@5~2", errors.InvalidRange),
     (f"ark:/{NAAN}/neg.HPE.V+V@*", errors.DuplicateName),
     (f"ark:/{NAAN}/neg.HPE.V", errors.MalformedPid),
+    # A token ending in a newline is not the token (HTTP sends %0A).
+    (f"ark:/{NAAN}/neg.HPE.V@5\n", errors.InvalidRange),
+    (f"ark:/{NAAN}/neg.HPE\n.V@*", errors.MalformedPid),
 ]
 
 
@@ -261,7 +264,8 @@ def test_failing_pids_fail_alike_on_every_path(world, capsys):
             with pytest.raises(error):
                 q = parse_pid(pid)
                 select(app.catalog.dataset(q.dataset), q)
-            assert http10(port, "/" + pid)[0] == error.http_status, pid
+            path = "/" + pid.replace("\n", "%0A")
+            assert http10(port, path)[0] == error.http_status, pid
             assert main(["--config", str(config_path), "resolve", pid]) == error.exit_code
             assert capsys.readouterr().out == ""
     finally:

@@ -16,7 +16,9 @@ import requests
 import arkslice
 import oracle
 from arkslice import http_service
+from arkslice.catalog import append_line
 from arkslice.http_service import start_background
+from arkslice.resolver import Minter, encode_noid
 from conftest import DATASET, NAAN, write_fixture
 
 
@@ -147,6 +149,14 @@ class TestMintEndpoint:
         _, base = live_server
         r = requests.post(f"{base}/mint", data="not json")
         assert r.status_code == 400
+
+    def test_target_ending_in_newline_is_400(self, live_server):
+        app, base = live_server
+        r = requests.post(f"{base}/mint",
+                          json={"target": "https://example.org/d\n"})
+        assert r.status_code == 400
+        assert app.minter.bindings == {}
+        assert not app.minter.log_path.exists()
 
     @pytest.mark.parametrize("length", ["abc", "-1"])
     def test_bad_content_length_is_400(self, live_server, length):
@@ -507,6 +517,17 @@ def reply_then_health(sock, request: bytes) -> tuple[bytes, bytes]:
     return reply
 
 
+def restart_with_logged_binding(app, target: str) -> str:
+    """Bind a fresh NOID to ``target`` by a record in the mint log, as an
+    older release may have written one that no mint accepts now, and
+    restart the minter from the log; return the NOID."""
+    noid = encode_noid(len(app.minter.bindings))
+    append_line(app.minter.log_path, {
+        "noid": noid, "target": target, "created_at": "2022-09-21T00:00:00+00:00"})
+    app.minter = app.resolver.minter = Minter(app.minter.log_path)
+    return noid
+
+
 class TestReplyHead:
     """A redirect's Location comes from the request path and from a minted
     target; neither may add a header, end the head early or leave a
@@ -522,7 +543,10 @@ class TestReplyHead:
     ])
     def test_location_is_one_header(self, live_server, target, suffix, location):
         app, _ = live_server
-        noid = app.minter.mint(target).noid
+        if target.isprintable():
+            noid = app.minter.mint(target).noid
+        else:
+            noid = restart_with_logged_binding(app, target)
         request = f"GET /ark:/{NAAN}/{noid}{suffix} HTTP/1.1\r\n\r\n".encode()
         with socket.create_connection(("127.0.0.1", app.config.port),
                                       timeout=5) as sock:

@@ -99,6 +99,20 @@ class TestParse:
         with pytest.raises(MalformedPid):
             parse_pid(bad)
 
+    @pytest.mark.parametrize("pid, error", [
+        pytest.param("ark:/57460/AMPds.DWE.V@13332\n", InvalidRange, id="point"),
+        pytest.param("ark:/57460/AMPds.DWE.V@1~2\n", InvalidRange, id="range-end"),
+        pytest.param("ark:/57460/AMPds.DWE\n.V@*", MalformedPid, id="sensor"),
+        pytest.param("ark:/57460/AMPds\n.DWE.V@*", MalformedPid, id="dataset"),
+        pytest.param("ark:/57460/AMPds.DWE.V\n@*", MalformedPid, id="measurement"),
+        pytest.param("ark:/57460\n/AMPds.DWE.V@*", BadNaan, id="naan"),
+    ])
+    def test_trailing_newline_is_refused(self, pid, error):
+        # A token is its whole string: a final newline would give one
+        # slice a second PID.
+        with pytest.raises(error):
+            parse_pid(pid)
+
     @pytest.mark.parametrize("bad", ["", "57460/0000", "ark:/57460", "ark:/57460/"])
     def test_split_ark(self, bad):
         # Only the shape is checked: the NAAN and body come back verbatim.

@@ -4,6 +4,7 @@ import threading
 import pytest
 
 from arkslice.errors import (
+    InvalidRange,
     InvalidTarget,
     MalformedPid,
     NotFound,
@@ -60,6 +61,16 @@ class TestMinter:
             minter.mint("not a url")
         with pytest.raises(MalformedPid):
             minter.mint("ark:/57460/garbage")
+
+    @pytest.mark.parametrize("target, error", [
+        pytest.param("https://example.org/a\n", InvalidTarget, id="url"),
+        pytest.param(f"ark:/{NAAN}/{DATASET}.DWE.V@1\n", InvalidRange, id="pid"),
+    ])
+    def test_target_ending_in_newline_is_refused(self, tmp_path, target, error):
+        minter = Minter(tmp_path / "mints.log")
+        with pytest.raises(error):
+            minter.mint(target)
+        assert minter.bindings == {}
 
     def test_external_url_target(self, tmp_path):
         minter = Minter(tmp_path / "mints.log")
@@ -186,6 +197,11 @@ class TestResolve:
     def test_unknown_noid(self, app):
         with pytest.raises(NotFound):
             app.resolver.resolve(NAAN, "zzzz")
+
+    def test_noid_ending_in_newline_is_not_a_noid(self, app):
+        noid = app.minter.mint("https://example.org/data").noid
+        with pytest.raises(MalformedPid):
+            app.resolver.resolve(NAAN, noid + "\n")
 
     def test_redirect_transparency(self, app):
         target = f"ark:/{NAAN}/{DATASET}.DWE.V+I@13332~13400"
