@@ -137,14 +137,13 @@ def split_ark(text: str) -> tuple[str, str]:
 
 def parse_pid(text: str) -> PidQuery:
     """Parse a full ``ark:/...`` PID string into a PidQuery."""
-    naan, body = split_ark(text)
+    return parse_pid_body(*split_ark(text))
+
+
+def parse_pid_body(naan: str, body: str) -> PidQuery:
+    """The PidQuery of ``ark:/NAAN/BODY``, given the NAAN and the body."""
     if not is_decimal(naan):
         raise BadNaan(f"NAAN must be decimal digits, got {naan!r}")
-    return PidQuery(naan=naan, **parse_pid_body(body))
-
-
-def parse_pid_body(body: str) -> dict:
-    """Parse the part after ``ark:/NAAN/`` into PidQuery fields (sans naan)."""
     left, at, sel_text = body.partition("@")
     if not at:
         raise MalformedPid("missing '@' selector separator")
@@ -153,16 +152,13 @@ def parse_pid_body(body: str) -> dict:
         raise MalformedPid(
             f"expected DATASET.SENSORS.MEASUREMENTS, got {len(parts)} parts"
         )
-    dataset = _check_name(parts[0], "dataset name")
-    sensors = _parse_namelist(parts[1], "sensor")
-    measurements = _parse_namelist(parts[2], "measurement")
-    selector = _parse_selector(sel_text)
-    return {
-        "dataset": dataset,
-        "sensors": sensors,
-        "measurements": measurements,
-        "selector": selector,
-    }
+    return PidQuery(
+        naan=naan,
+        dataset=_check_name(parts[0], "dataset name"),
+        sensors=_parse_namelist(parts[1], "sensor"),
+        measurements=_parse_namelist(parts[2], "measurement"),
+        selector=_parse_selector(sel_text),
+    )
 
 
 def serialize_pid(q: PidQuery) -> str:

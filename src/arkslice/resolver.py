@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Union
@@ -202,7 +202,7 @@ class Resolver:
                 target = f"{self.base_url}/{target}"
             return Redirect(location=target + slash + suffix)
 
-        q = PidQuery(naan=naan, **parse_pid_body(path_remainder))
+        q = parse_pid_body(naan, path_remainder)
         if info:
             return Info(self._info_document(q))
         dataset = self.catalog.dataset(q.dataset)
@@ -258,26 +258,16 @@ class Resolver:
             raise TooFewRows(f"{n} timestamps cannot make {k} folds")
 
         base, extra = divmod(n, k)
+        fold = PidQuery(self.primary_naan, dataset_name, tuple(sensors),
+                        tuple(measurements))
         pairs = []
         pos = 0
-        naan = self.primary_naan
         for i in range(k):
             size = base + (1 if i < extra else 0)
             first, last = int(domain[pos]), int(domain[pos + size - 1])
             pos += size
-            test_q = PidQuery(
-                naan=naan,
-                dataset=dataset_name,
-                sensors=tuple(sensors),
-                measurements=tuple(measurements),
-                selector=RangeSelector.of(RangeTerm(first, last, exclude=False)),
-            )
-            train_q = PidQuery(
-                naan=naan,
-                dataset=dataset_name,
-                sensors=tuple(sensors),
-                measurements=tuple(measurements),
-                selector=RangeSelector.of(RangeTerm(first, last, exclude=True)),
-            )
-            pairs.append((serialize_pid(train_q), serialize_pid(test_q)))
+            pairs.append(tuple(  # (train, test): the block excluded, then kept
+                serialize_pid(replace(fold, selector=RangeSelector.of(
+                    RangeTerm(first, last, exclude))))
+                for exclude in (True, False)))
         return pairs
