@@ -16,7 +16,7 @@ import json
 import os
 import threading
 import urllib.request
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -40,6 +40,11 @@ FETCH_TIMEOUT_S = 30
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
+
+
+def json_bytes(obj) -> bytes:
+    """Sorted-key JSON indented by 2, UTF-8, newline-ended: documents, replies."""
+    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
 def replace_file(path: Path, data: bytes) -> None:
@@ -86,6 +91,9 @@ class DatasetMetadata:
     dictionary: list[tuple[str, str]] = field(default_factory=list)
     schema_name: str = ""
 
+    def __post_init__(self):  # a pair read back from a JSON document is a list
+        self.dictionary = [tuple(pair) for pair in self.dictionary]
+
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -108,48 +116,27 @@ class CatalogEntry:
         }
 
     def document(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "source_id": self.source_id,
-            "data_dir": self.data_dir,
-            "sensors": self.sensors,
-            "core": self.metadata.core,
-            "domain": {
-                "environmental": self.metadata.domain_environmental,
-                "object_class": self.metadata.domain_object_class,
-                "object_format": self.metadata.domain_object_format,
-            },
-            "relation": self.metadata.relation,
-            "model": self.metadata.model,
-            "dictionary": [list(p) for p in self.metadata.dictionary],
-            "schema_name": self.metadata.schema_name,
-            "content_hash": self.content_hash,
-            "registered_at": self.registered_at,
-            "updated_at": self.updated_at,
-        }
+        """The stored JSON document: the entry's fields and, beside them,
+        its metadata's, with the ``domain_*`` ones nested under ``domain``."""
+        doc = {name: getattr(self, name) for name in _ENTRY_FIELDS}
+        doc.update((name, getattr(self.metadata, name)) for name in _METADATA_FIELDS)
+        doc["domain"] = {name[len(_DOMAIN):]: doc.pop(name) for name in _DOMAIN_FIELDS}
+        doc["dictionary"] = [list(pair) for pair in doc["dictionary"]]
+        return doc
 
     @classmethod
     def from_document(cls, doc: dict) -> "CatalogEntry":
         """The entry whose ``document()`` is ``doc``."""
-        return cls(
-            dataset=doc["dataset"],
-            source_id=doc["source_id"],
-            data_dir=doc["data_dir"],
-            sensors=doc["sensors"],
-            metadata=DatasetMetadata(
-                core=doc["core"],
-                domain_environmental=doc["domain"]["environmental"],
-                domain_object_class=doc["domain"]["object_class"],
-                domain_object_format=doc["domain"]["object_format"],
-                relation=doc["relation"],
-                model=doc["model"],
-                dictionary=[tuple(p) for p in doc["dictionary"]],
-                schema_name=doc["schema_name"],
-            ),
-            content_hash=doc["content_hash"],
-            registered_at=doc["registered_at"],
-            updated_at=doc["updated_at"],
-        )
+        flat = {**doc, **{_DOMAIN + key: value for key, value in doc["domain"].items()}}
+        metadata = DatasetMetadata(**{name: flat[name] for name in _METADATA_FIELDS})
+        return cls(metadata=metadata, **{name: flat[name] for name in _ENTRY_FIELDS})
+
+
+# The document's keys, read off the two dataclasses.
+_DOMAIN = "domain_"
+_ENTRY_FIELDS = tuple(f.name for f in fields(CatalogEntry) if f.name != "metadata")
+_METADATA_FIELDS = tuple(f.name for f in fields(DatasetMetadata))
+_DOMAIN_FIELDS = tuple(name for name in _METADATA_FIELDS if name.startswith(_DOMAIN))
 
 
 @dataclass(frozen=True)
@@ -224,8 +211,7 @@ class Catalog:
         return self.entries_dir / f"{dataset}.json"
 
     def _write_entry(self, entry: CatalogEntry) -> None:
-        doc = json.dumps(entry.document(), sort_keys=True, indent=2) + "\n"
-        replace_file(self._entry_path(entry.dataset), doc.encode("utf-8"))
+        replace_file(self._entry_path(entry.dataset), json_bytes(entry.document()))
 
     def _restore(self) -> None:
         records = {}

@@ -10,9 +10,9 @@ import sys
 
 import click
 
-from .catalog import DatasetMetadata
+from .catalog import DatasetMetadata, json_bytes
 from .errors import ArksliceError, MalformedPid
-from .http_service import App, ServiceConfig, json_bytes, serve
+from .http_service import App, ServiceConfig, serve
 from .pid_grammar import split_ark
 from .resolver import Info, Redirect, Resolution
 from .timeseries_store import render_csv

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Optional
 from urllib.parse import parse_qs, quote, unquote
 
-from .catalog import Catalog, DataSource
+from .catalog import Catalog, DataSource, json_bytes
 from .errors import ArksliceError, ConfigError, InvalidTarget, NotFound
 from .pid_grammar import is_decimal, split_ark
 from .resolver import Data, Info, Minter, Redirect, Resolver
@@ -94,10 +94,6 @@ class App:
         if src is None:
             raise NotFound(f"no configured source {source_id!r}")
         return src
-
-
-def json_bytes(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
 _NOT_PRINTABLE_ASCII = re.compile(r"[^ -~]")
