@@ -99,11 +99,9 @@ def resolve(config_path, pid):
 @click.pass_obj
 def mint(config_path, target):
     """Mint a NOID bound to a target URL or PID."""
-    app = _app(config_path)
-    binding = app.minter.mint(target)
-    naan = app.resolver.primary_naan
-    click.echo(binding.noid)
-    click.echo(f"{app.config.base_url}/ark:/{naan}/{binding.noid}")
+    minted = _app(config_path).resolver.mint(target)
+    click.echo(minted["noid"])
+    click.echo(minted["url"])
 
 
 @cli.command()

@@ -298,15 +298,8 @@ class ResolverHandler(BaseHTTPRequestHandler):
             target = doc.get("target")
             if not isinstance(target, str):
                 raise InvalidTarget("missing string field 'target'")
-            binding = self.app.minter.mint(target)
-            naan = self.app.resolver.primary_naan
-            payload = {
-                "noid": binding.noid,
-                "ark": f"ark:/{naan}/{binding.noid}",
-                "url": f"{self.app.config.base_url}/ark:/{naan}/{binding.noid}",
-            }
             self._send(201, "application/json; charset=utf-8",
-                       json_bytes(payload))
+                       json_bytes(self.app.resolver.mint(target)))
         elif path == "/crawl":
             payload = [asdict(e) for e in self.app.catalog.crawl()]
             self._send(200, "application/json; charset=utf-8",

@@ -182,6 +182,16 @@ class Resolver:
     def primary_naan(self) -> str:
         return sorted(self.naans)[0]
 
+    def url(self, ark: str) -> str:
+        """Where this resolver serves ``ark``."""
+        return f"{self.base_url}/{ark}"
+
+    def mint(self, target: str) -> dict:
+        """Bind a fresh NOID to ``target``; give it, its ARK and that URL."""
+        noid = self.minter.mint(target).noid
+        ark = f"ark:/{self.primary_naan}/{noid}"
+        return {"noid": noid, "ark": ark, "url": self.url(ark)}
+
     def resolve(self, naan: str, path_remainder: str, info: bool = False) -> Resolution:
         """Resolve the part after ``ark:/NAAN/`` for the HTTP service and CLI.
 
@@ -199,7 +209,7 @@ class Resolver:
                 raise NotFound(f"no binding for NOID {head!r}")
             target = binding.target
             if target.startswith("ark:"):
-                target = f"{self.base_url}/{target}"
+                target = self.url(target)
             return Redirect(location=target + slash + suffix)
 
         q = parse_pid_body(naan, path_remainder)

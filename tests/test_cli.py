@@ -11,7 +11,7 @@ import arkslice
 from arkslice import errors
 from arkslice.catalog import Catalog, DataSource
 from arkslice.cli import main, strip_scheme_host
-from arkslice.http_service import ServiceConfig
+from arkslice.http_service import App, ServiceConfig, start_background
 
 import oracle
 from conftest import DATASET, NAAN, write_fixture
@@ -267,6 +267,30 @@ def test_config_that_cannot_be_honoured_is_refused(capsys, tmp_path, change, key
         assert (code, out) == (errors.ConfigError.exit_code, "")
         assert err.startswith("error: ") and key in err, err
     assert not (tmp_path / "state").exists()
+
+
+def test_base_url_with_trailing_slash_gives_one_url_prefix(capsys, tmp_path):
+    """CLI mint, HTTP mint and a redirect to an ARK target all put the ARK
+    right after the base URL, with one '/' between."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "port": 0, "naans": [NAAN], "state_dir": str(tmp_path / "state"),
+        "base_url": "http://example.org/"}))
+    target = f"ark:/{NAAN}/{DATASET}.DWE.V@*"
+    code, out, _ = run(capsys, "--config", str(config), "mint", "--target", target)
+    assert code == 0
+    noid, cli_url = out.splitlines()
+    server, _ = start_background(App(ServiceConfig.from_file(config)))
+    base = f"http://127.0.0.1:{server.server_address[1]}"
+    try:
+        minted = requests.post(f"{base}/mint", json={"target": target}).json()
+        redirect = requests.get(f"{base}/ark:/{NAAN}/{noid}", allow_redirects=False)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert cli_url == f"http://example.org/ark:/{NAAN}/{noid}"
+    assert minted["url"] == f"http://example.org/{minted['ark']}"
+    assert redirect.headers["Location"] == f"http://example.org/{target}"
 
 
 def test_config_fields_left_out_keep_their_defaults(tmp_path):
