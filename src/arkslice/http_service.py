@@ -63,9 +63,13 @@ class ServiceConfig:
     @classmethod
     def from_file(cls, path) -> "ServiceConfig":
         """The config a JSON document states; what it leaves out keeps the
-        dataclass default. A key it does not know, or a source without an
-        ``id`` or ``root``, is a ``ConfigError`` that names the key."""
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        dataclass default. A file that cannot be read or is not JSON is a
+        ``ConfigError`` that names the path; a key it does not know, or a
+        source without an ``id`` or ``root``, one that names the key."""
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{path}: {exc}") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: a config is a JSON object")
         try:

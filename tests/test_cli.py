@@ -269,6 +269,20 @@ def test_config_that_cannot_be_honoured_is_refused(capsys, tmp_path, change, key
     assert not (tmp_path / "state").exists()
 
 
+@pytest.mark.parametrize("content", [
+    pytest.param(None, id="missing"),
+    pytest.param("not json", id="not-json"),
+])
+def test_config_that_cannot_be_read_is_refused(capsys, tmp_path, content):
+    config = tmp_path / "config.json"
+    if content is not None:
+        config.write_text(content)
+    for command in (["search"], ["mint", "--target", "https://example.org/x"]):
+        code, out, err = run(capsys, "--config", str(config), *command)
+        assert (code, out) == (errors.ConfigError.exit_code, "")
+        assert err.startswith("error: ") and str(config) in err, err
+
+
 def test_base_url_with_trailing_slash_gives_one_url_prefix(capsys, tmp_path):
     """CLI mint, HTTP mint and a redirect to an ARK target all put the ARK
     right after the base URL, with one '/' between."""
