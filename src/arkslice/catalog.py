@@ -7,6 +7,12 @@ one JSON document per dataset under ``<state_dir>/catalog/`` plus an
 append-only change-event log at ``<state_dir>/events.log``. Column types
 and statistics are computed once, when a dataset is registered, and stored
 in that document; a restart or crawl reads them back and only parses CSV.
+A column whose nonempty fields are all plain numbers is typed from its
+field bytes (``type_registry.plain_numbers``); any other is decoded to
+cells and typed from those. Both give ``compute_properties`` the same
+values, so the document does not depend on the path taken. A column with
+a value that is not finite as a double gets no statistics (``null``), as
+JSON has no NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 from . import timeseries_store, type_registry
 from .errors import (
@@ -175,11 +183,21 @@ def _key_schema(name: str, index) -> dict:
     return {"name": name, "basic": basic, "derived": derived, "properties": None}
 
 
-def _column_schema(name: str, cells) -> dict:
-    desc = type_registry.infer_column_type(cells)
-    numeric = type_registry.numeric_values(cells)
+def _column_schema(table: SensorTable, name: str) -> dict:
+    """A measurement's type and statistics: from its field bytes when every
+    nonempty field is a plain number, else from its decoded cells."""
+    typed = type_registry.plain_numbers(table.data, *table.field_spans(name))
+    if typed is None:
+        cells = table.column(name)
+        desc = type_registry.infer_column_type(cells)
+        values = type_registry.numeric_values(cells)
+    else:
+        values, desc = typed
+    # JSON has no NaN or Infinity, which a value too large for a double
+    # (1e400) would make of the statistics.
     properties = (
-        type_registry.compute_properties(numeric).as_dict() if numeric else None
+        type_registry.compute_properties(values).as_dict()
+        if len(values) and np.isfinite(values).all() else None
     )
     return {"name": name, "basic": desc.basic, "derived": desc.derived,
             "properties": properties}
@@ -187,7 +205,7 @@ def _column_schema(name: str, cells) -> dict:
 
 def _sensor_schema(table: SensorTable, file_name: str) -> dict:
     columns = [_key_schema(table.key_column_name, table.index)]
-    columns += [_column_schema(name, table.column(name)) for name in table.names]
+    columns += [_column_schema(table, name) for name in table.names]
     return {"name": table.sensor_name, "file": file_name, "columns": columns}
 
 

@@ -34,6 +34,7 @@ from .pid_grammar import (
     parse_pid,
     parse_pid_body,
     serialize_pid,
+    split_ark,
 )
 from .timeseries_store import ResultSlice
 
@@ -187,7 +188,15 @@ class Resolver:
         return f"{self.base_url}/{ark}"
 
     def mint(self, target: str) -> dict:
-        """Bind a fresh NOID to ``target``; give it, its ARK and that URL."""
+        """Bind a fresh NOID to ``target``; give it, its ARK and that URL.
+        An ARK target must be under a NAAN this resolver serves, or its
+        NOID would redirect to an ``UnknownNaan``."""
+        if isinstance(target, str) and target.startswith("ark:"):
+            naan = split_ark(target)[0]
+            if naan not in self.naans:
+                raise InvalidTarget(
+                    f"target {target!r} is under NAAN {naan!r}, which this "
+                    f"resolver does not serve")
         noid = self.minter.mint(target).noid
         ark = f"ark:/{self.primary_naan}/{noid}"
         return {"noid": noid, "ark": ark, "url": self.url(ark)}

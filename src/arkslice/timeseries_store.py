@@ -113,6 +113,14 @@ class SensorTable:
                 f"sensor {self.sensor_name!r} has no measurement {measurement!r}"
             ) from None
 
+    def field_spans(self, measurement: str) -> tuple[np.ndarray, np.ndarray]:
+        """A measurement's fields in key order: each one's start offset in
+        ``data`` and its length in bytes, the separator after it excluded."""
+        j = self.field_index(measurement)
+        end = self.row_count * self.width
+        first = self.starts[j:end:self.width]
+        return first, self.starts[j + 1:end + 1:self.width] - first - 1
+
     def column(self, measurement: str) -> tuple[str, ...]:
         """A measurement's cells, decoded, in key order."""
         j = self.field_index(measurement)

@@ -7,6 +7,18 @@ one number pattern whose groups tell integer, real and scientific apart,
 and the other types are tried only when some value is not a plain number.
 The catalog types each column once, when a dataset is registered; loading
 a table never types it.
+
+A column whose every nonempty field is a plain number is typed from its
+field bytes by ``plain_numbers``, with no cell ever a Python object: the
+fields are copied a block at a time into a zero-padded byte matrix, a
+``bincount`` checks that each field byte is a digit, sign, point or
+exponent letter, and a cast of the matrix viewed as fixed-width byte
+strings parses the block (the cast and ``float()`` accept the same
+strings over that alphabet and give the same doubles). Any other column,
+or one with a field longer than ``MAX_NUMBER_BYTES``, gives None, and the
+caller types its decoded cells with ``infer_column_type`` and
+``numeric_values``, which the kernel agrees with on every column it
+accepts.
 Statistics are pinned to one definition each so that catalog metadata is
 byte-stable: sample stddev (n-1), quantiles by linear interpolation at
 ``p*(n-1)``, skewness as the population-moment estimator ``m3 / m2^1.5``.
@@ -21,6 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EmptyColumn
+from .timeseries_store import BLOCK_BYTES
 
 # Derived type -> parent basic type.
 BASIC_OF_DERIVED = {
@@ -67,6 +80,16 @@ _NUMBER_RE = re.compile(
 )
 _INT, _REAL, _SCI = 1, 2, 3
 _PCT_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?%")
+# Byte value -> whether no plain number holds it. NUL pads the matrix
+# ``plain_numbers`` casts, and is counted apart.
+_NOT_NUMBER_BYTE = np.ones(256, dtype=bool)
+_NOT_NUMBER_BYTE[np.frombuffer(b"\x000123456789+-.eE", dtype=np.uint8)] = False
+_EXPONENT_BYTES = np.frombuffer(b"eE", dtype=np.uint8)
+_POINT = ord(".")
+# The longest field ``plain_numbers`` reads: every row of its matrix is as
+# wide as the column's longest field, so a column holding a longer one (a
+# long text cell, or a rare very long number) is typed from its cells.
+MAX_NUMBER_BYTES = 64
 _CURRENCY_SYMBOLS = {"$": "$", "€": "Euro", "¥": "Yen"}
 
 # Integer keys at or above this look like Unix epoch timestamps.
@@ -236,6 +259,59 @@ def numeric_values(cells: Sequence[str]) -> list[float]:
     """
     parsed = {c: float(c) for c in set(cells) if _NUMBER_RE.fullmatch(c)}
     return [v for v in map(parsed.get, cells) if v is not None]
+
+
+def plain_numbers(data, first: np.ndarray, lengths: np.ndarray
+                  ) -> Optional[tuple[np.ndarray, TypeDescriptor]]:
+    """Type a measurement column from its field bytes, when every nonempty
+    field is a plain number.
+
+    ``data`` is a bytes-like buffer and the fields are the ranges
+    ``data[first[k]:first[k] + lengths[k]]``. Gives the nonempty fields'
+    values in order, as ``numeric_values`` gives them, and the type
+    ``infer_column_type`` gives; or None when no field is nonempty or some
+    nonempty field is not a plain number or is longer than
+    ``MAX_NUMBER_BYTES``.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    nonempty = lengths > 0
+    if not nonempty.all():
+        first, lengths = first[nonempty], lengths[nonempty]
+    n = len(first)
+    if not n:
+        return None
+    width = int(lengths.max())
+    if width > MAX_NUMBER_BYTES:
+        return None
+    columns = np.arange(width, dtype=first.dtype)
+    values = np.empty(n, dtype=np.float64)
+    seen = np.zeros(256, dtype=np.int64)
+    rows_per_block = max(1, BLOCK_BYTES // width)
+    for lo in range(0, n, rows_per_block):
+        block_first = first[lo:lo + rows_per_block]
+        block_lengths = lengths[lo:lo + rows_per_block]
+        matrix = buf.take(block_first[:, None] + columns, mode="clip")
+        matrix *= columns < block_lengths[:, None]
+        counts = np.bincount(matrix.ravel(), minlength=256)
+        # A NUL beyond the padding is a field's own, which the fixed-width
+        # view below would drop from the field's end.
+        if counts[0] != matrix.size - int(block_lengths.sum()) \
+                or counts[_NOT_NUMBER_BYTE].any():
+            return None
+        seen += counts
+        try:
+            with np.errstate(over="ignore"):
+                values[lo:lo + rows_per_block] = \
+                    matrix.view(f"S{width}").ravel().astype(np.float64)
+        except ValueError:  # bytes of the alphabet that are not a number
+            return None
+    if seen[_EXPONENT_BYTES].any():
+        derived = "scientific"
+    elif seen[_POINT]:
+        derived = "real"
+    else:
+        derived = "integer"
+    return values, TypeDescriptor("number", derived)
 
 
 def compute_correlation(table) -> CorrelationMatrix:

@@ -1,8 +1,10 @@
 import functools
 import http.server
+import importlib.util
 import json
 import random
 import shutil
+import sys
 import threading
 from pathlib import Path
 
@@ -14,16 +16,49 @@ from arkslice.catalog import (
     DataSource,
     DatasetMetadata,
     content_hash,
+    json_bytes,
 )
 from arkslice import timeseries_store
 from arkslice.errors import DuplicateDataset, LoadError, NotFound
 from arkslice.pid_grammar import parse_pid
-from arkslice.timeseries_store import render_csv, select
+from arkslice.timeseries_store import SensorTable, render_csv, select
+from arkslice.type_registry import (
+    compute_properties,
+    infer_column_type,
+    numeric_values,
+)
 
 import oracle
 from conftest import DATASET, FIXTURE_METADATA, write_fixture
 
 GOLDEN_SENSORS = Path(__file__).parent / "data" / "catalog_sensors_golden.json"
+DATAGEN = Path(__file__).resolve().parents[1] / "bench" / "datagen.py"
+
+
+def load_datagen():
+    """The benchmark's seeded data generator, imported from its file."""
+    spec = importlib.util.spec_from_file_location("bench_datagen", DATAGEN)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where its dataclass looks itself up
+    spec.loader.exec_module(module)
+    return module
+
+
+def cell_path_schema(table: SensorTable, file_name: str) -> dict:
+    """A sensor's schema typed from decoded cells, as every column was
+    typed before all-number columns were typed from their bytes."""
+    key = infer_column_type([str(k) for k in table.key], is_key=True)
+    columns = [{"name": table.key_column_name, "basic": key.basic,
+                "derived": key.derived, "properties": None}]
+    for name in table.names:
+        cells = table.column(name)
+        desc = infer_column_type(cells)
+        values = numeric_values(cells)
+        columns.append({
+            "name": name, "basic": desc.basic, "derived": desc.derived,
+            "properties": compute_properties(values).as_dict() if values else None,
+        })
+    return {"name": table.sensor_name, "file": file_name, "columns": columns}
 
 
 def write_mixed_fixture(data_root: Path, dataset: str = "Mixed-ds") -> Path:
@@ -121,6 +156,36 @@ class TestRegister:
                for name in (DATASET, "Mixed-ds")}
         got = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert got == GOLDEN_SENSORS.read_text(encoding="utf-8")
+
+    def test_all_number_sensors_decode_no_cell(self, tmp_path, monkeypatch):
+        decoded = []
+        cells = SensorTable.cells
+
+        def counting(table, fields):
+            decoded.append(len(fields))
+            return cells(table, fields)
+
+        monkeypatch.setattr(SensorTable, "cells", counting)
+        write_fixture(tmp_path / "data")
+        write_mixed_fixture(tmp_path / "data")
+        source = DataSource("local", str(tmp_path / "data"))
+        cat = Catalog(tmp_path / "state", [source])
+        cat.register_dataset(source, DATASET)
+        assert decoded == []
+        cat.register_dataset(source, "Mixed-ds")  # text columns: cells
+        assert decoded
+
+    def test_bench_data_typed_as_from_cells(self, tmp_path):
+        datagen = load_datagen()
+        datagen.generate(1, 3000, tmp_path / "data")
+        source = DataSource("bench", str(tmp_path / "data"))
+        entry = Catalog(tmp_path / "state", [source]).register_dataset(
+            source, datagen.DATASET)
+        files = sorted((tmp_path / "data" / datagen.DATASET).glob("*.csv"))
+        expected = [cell_path_schema(timeseries_store.load_sensor_csv(p, p.stem), p.name)
+                    for p in files]
+        # Bytes, so that -0.0 and 0.0 differ.
+        assert json_bytes(entry.sensors) == json_bytes(expected)
 
     def test_from_document_inverts_document(self, app):
         entry = app.catalog.lookup(DATASET)

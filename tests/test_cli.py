@@ -108,6 +108,15 @@ class TestCommands:
         code, _, _ = run(capsys, "--config", config_path, "mint", "--target", "")
         assert code == 1
 
+    def test_mint_under_an_unserved_naan_exit_1(self, capsys, config_path, tmp_path):
+        ingest(capsys, config_path)
+        code, out, err = run(capsys, "--config", config_path, "mint",
+                             "--target", f"ark:/99999/{DATASET}.DWE.V@*")
+        assert code == 1
+        assert out == ""
+        assert "99999" in err
+        assert not (tmp_path / "state" / "mints.log").exists()
+
     def test_crossfold(self, capsys, config_path):
         ingest(capsys, config_path)
         code, out, _ = run(capsys, "--config", config_path, "crossfold",

@@ -87,6 +87,33 @@ class TestResolveEndpoint:
             "outlier_count", "shape_class",
         }
 
+    def test_statistics_that_are_not_finite_are_null(self, live_server):
+        # 1e400 is a plain number that is infinite as a double; JSON has
+        # no token for the statistics it would give.
+        app, base = live_server
+        ds_dir = Path(app.source("local").root) / "Huge-ds"
+        ds_dir.mkdir()
+        (ds_dir / "S.csv").write_text(
+            "timestamp,BIG,MIXED,OK\n1,1e400,1e400,1.5\n2,2,x,2.5\n3,-1e400,,3.5\n",
+            encoding="utf-8")
+        app.catalog.register_dataset(app.source("local"), "Huge-ds")
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        stored = json.loads((app.catalog.entries_dir / "Huge-ds.json").read_bytes(),
+                            parse_constant=refuse)
+        r = requests.get(f"{base}/ark:/{NAAN}/Huge-ds.S.BIG+MIXED+OK@*?info")
+        assert r.status_code == 200
+        served = json.loads(r.content, parse_constant=refuse)
+        for doc in (stored, served):
+            columns = {c["name"]: c for c in doc["sensors"][0]["columns"]}
+            assert columns["BIG"]["derived"] == "scientific"
+            assert columns["MIXED"]["derived"] == "varchar"
+            assert columns["BIG"]["properties"] is None
+            assert columns["MIXED"]["properties"] is None
+            assert columns["OK"]["properties"]["mean"] == 2.5
+
     def test_deterministic_bytes(self, live_server):
         _, base = live_server
         url = f"{base}/ark:/{NAAN}/{DATASET}.HPE+DWE+WOE.V+I@*"
@@ -140,6 +167,17 @@ class TestMintEndpoint:
         n1 = requests.post(f"{base}/mint", json=body).json()["noid"]
         n2 = requests.post(f"{base}/mint", json=body).json()["noid"]
         assert n1 != n2
+
+    def test_target_under_an_unserved_naan_is_400(self, live_server):
+        app, base = live_server
+        r = requests.post(f"{base}/mint",
+                          json={"target": f"ark:/99999/{DATASET}.DWE.V@*"})
+        assert r.status_code == 400
+        assert "99999" in r.text
+        assert app.minter.bindings == {}
+        assert not app.minter.log_path.exists()
+        body = {"target": f"ark:/{NAAN}/{DATASET}.DWE.V@*"}
+        assert requests.post(f"{base}/mint", json=body).json()["noid"] == "0000"
 
     def test_empty_target_is_400(self, live_server):
         _, base = live_server

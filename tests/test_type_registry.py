@@ -1,6 +1,8 @@
+import itertools
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +11,15 @@ from arkslice.catalog import _key_schema
 from arkslice.errors import EmptyColumn
 from arkslice.timeseries_store import SensorTable
 from arkslice.type_registry import (
+    _NUMBER_RE,
     BASIC_OF_DERIVED,
+    MAX_NUMBER_BYTES,
     TypeDescriptor,
     compute_correlation,
     compute_properties,
     infer_column_type,
     numeric_values,
+    plain_numbers,
 )
 
 
@@ -195,6 +200,95 @@ class TestAgainstPerCellReference:
         expected = ref_infer([str(k) for k in key], is_key=True)
         assert (doc["basic"], doc["derived"]) == (expected.basic, expected.derived)
         assert doc["properties"] is None
+
+
+def typed_from_bytes(cells):
+    """``plain_numbers`` over ``cells`` laid out as fields. The bytes
+    between fields are digits, so a kernel that read past a field's end
+    would parse a different number."""
+    encoded = [c.encode("utf-8") for c in cells]
+    lengths = np.array([len(b) for b in encoded], dtype=np.int64)
+    first = np.cumsum(lengths + 1) - lengths - 1
+    return plain_numbers(b"9".join(encoded) + b"9", first, lengths)
+
+
+def _with_nul(cell):
+    """A strategy inserting one NUL anywhere in ``cell``'s text, the end
+    included."""
+    return cell.flatmap(lambda c: st.integers(0, len(c)).map(
+        lambda at: c[:at] + "\x00" + c[at:]))
+
+
+_long_digits = st.text("0123456789", min_size=1, max_size=40)
+_long_numbers = st.one_of(
+    st.builds(str.__add__, _sign, _long_digits),
+    st.builds("{}{}.{}".format, _sign, _long_digits, _long_digits),
+    st.builds("{}{}e{}".format, _sign, _mantissas,
+              st.integers(-400, 400).map(str)),
+    st.builds("{}{}E+{}".format, _sign, _long_digits,
+              st.integers(0, 400).map(str)),
+    st.sampled_from(["-0", "+0", "-0.0", "0e0", "-.0e-0"]),
+    # Longer than the kernel reads: typed from cells.
+    st.text("0123456789", min_size=MAX_NUMBER_BYTES - 2,
+            max_size=MAX_NUMBER_BYTES + 2),
+)
+
+
+@st.composite
+def _number_columns(draw):
+    """Columns that are mostly numbers, some with a NUL or another
+    stray cell among them."""
+    kinds = [_ints, _reals, _scis, _long_numbers, st.just("")]
+    cell = st.one_of(draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)))
+    column = draw(st.lists(cell, max_size=25))
+    strays = st.one_of(_with_nul(st.one_of(_ints, _reals, _long_numbers)),
+                       st.one_of(*_KINDS))
+    for _ in range(draw(st.integers(0, 2))):
+        column.insert(draw(st.integers(0, len(column))), draw(strays))
+    return column
+
+
+class TestPlainNumbers:
+    @given(st.one_of(_cells(), _number_columns()))
+    @settings(max_examples=600)
+    def test_agrees_with_the_cell_path(self, cells):
+        typed = typed_from_bytes(cells)
+        nonempty = [c for c in cells if c]
+        numbers = all(_NUMBER_RE.fullmatch(c) for c in nonempty)
+        short = all(len(c.encode("utf-8")) <= MAX_NUMBER_BYTES for c in nonempty)
+        assert (typed is None) == (not nonempty or not numbers or not short)
+        if typed is not None:
+            values, desc = typed
+            assert desc == infer_column_type(cells)
+            expected = np.array(numeric_values(cells), dtype=np.float64)
+            assert values.dtype == np.float64
+            # Bit for bit: -0.0 differs from 0.0, inf from the largest float.
+            assert values.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    def test_every_short_string_of_number_bytes(self):
+        for size in range(1, 6):
+            for chars in itertools.product("01.+-eE\x00", repeat=size):
+                cell = "".join(chars)
+                typed = typed_from_bytes([cell])
+                assert (typed is not None) == bool(_NUMBER_RE.fullmatch(cell)), cell
+                if typed is not None:
+                    assert typed[0].tolist() == [float(cell)], cell
+
+    @pytest.mark.parametrize("cells,derived", [
+        (["1", "", "-7"], "integer"),
+        (["1", "2.5"], "real"),
+        (["1", "2.5", "3E2"], "scientific"),
+        (["1e400", "-1e400", "1e-400"], "scientific"),
+    ])
+    def test_type_from_the_bytes_present(self, cells, derived):
+        assert typed_from_bytes(cells)[1] == TypeDescriptor("number", derived)
+
+    @pytest.mark.parametrize("cells", [
+        [], ["", ""], ["12\x00"], ["1", "x"], ["1", "5%"], ["1", " 2"],
+        ["1", "1" * (MAX_NUMBER_BYTES + 1)],
+    ])
+    def test_none(self, cells):
+        assert typed_from_bytes(cells) is None
 
 
 class TestProperties:
