@@ -10,9 +10,9 @@ in that document; a restart or crawl reads them back and only parses CSV.
 A column whose nonempty fields are all plain numbers is typed from its
 field bytes (``type_registry.plain_numbers``); any other is decoded to
 cells and typed from those. Both give ``compute_properties`` the same
-values, so the document does not depend on the path taken. A column with
-a value that is not finite as a double gets no statistics (``null``), as
-JSON has no NaN or Infinity.
+values, so the document does not depend on the path taken. A column whose
+statistics are not all finite gets none (``null``), as JSON has no NaN or
+Infinity.
 """
 
 from __future__ import annotations
@@ -193,14 +193,21 @@ def _column_schema(table: SensorTable, name: str) -> dict:
         values = type_registry.numeric_values(cells)
     else:
         values, desc = typed
-    # JSON has no NaN or Infinity, which a value too large for a double
-    # (1e400) would make of the statistics.
-    properties = (
-        type_registry.compute_properties(values).as_dict()
-        if len(values) and np.isfinite(values).all() else None
-    )
     return {"name": name, "basic": desc.basic, "derived": desc.derived,
-            "properties": properties}
+            "properties": _properties(values)}
+
+
+def _properties(values) -> Optional[dict]:
+    """The statistics of a column's numeric values; None when it has none,
+    or when a statistic is not finite, as JSON has no NaN or Infinity: a
+    value too large for a double (``1e400``), or moments that overflow
+    one (``1e200``), makes them so."""
+    if not len(values):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):  # handled below
+        stats = type_registry.compute_properties(values).as_dict()
+    floats = [v for v in stats.values() if isinstance(v, float)]
+    return stats if np.isfinite(floats).all() else None
 
 
 def _sensor_schema(table: SensorTable, file_name: str) -> dict:

@@ -291,7 +291,7 @@ def plain_numbers(data, first: np.ndarray, lengths: np.ndarray
         block_first = first[lo:lo + rows_per_block]
         block_lengths = lengths[lo:lo + rows_per_block]
         matrix = buf.take(block_first[:, None] + columns, mode="clip")
-        matrix *= columns < block_lengths[:, None]
+        matrix *= columns < block_lengths[:, None]  # NUL past each field
         counts = np.bincount(matrix.ravel(), minlength=256)
         # A NUL beyond the padding is a field's own, which the fixed-width
         # view below would drop from the field's end.

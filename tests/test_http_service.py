@@ -88,14 +88,15 @@ class TestResolveEndpoint:
         }
 
     def test_statistics_that_are_not_finite_are_null(self, live_server):
-        # 1e400 is a plain number that is infinite as a double; JSON has
-        # no token for the statistics it would give.
+        # 1e400 is a plain number that is infinite as a double, and the
+        # squares of 1e200 overflow one; JSON has no token for the
+        # statistics they would give.
         app, base = live_server
         ds_dir = Path(app.source("local").root) / "Huge-ds"
         ds_dir.mkdir()
         (ds_dir / "S.csv").write_text(
-            "timestamp,BIG,MIXED,OK\n1,1e400,1e400,1.5\n2,2,x,2.5\n3,-1e400,,3.5\n",
-            encoding="utf-8")
+            "timestamp,BIG,MIXED,WIDE,OK\n1,1e400,1e400,1e200,1.5\n"
+            "2,2,x,-1e200,2.5\n3,-1e400,,0,3.5\n", encoding="utf-8")
         app.catalog.register_dataset(app.source("local"), "Huge-ds")
 
         def refuse(token):
@@ -103,15 +104,15 @@ class TestResolveEndpoint:
 
         stored = json.loads((app.catalog.entries_dir / "Huge-ds.json").read_bytes(),
                             parse_constant=refuse)
-        r = requests.get(f"{base}/ark:/{NAAN}/Huge-ds.S.BIG+MIXED+OK@*?info")
+        r = requests.get(f"{base}/ark:/{NAAN}/Huge-ds.S.BIG+MIXED+WIDE+OK@*?info")
         assert r.status_code == 200
         served = json.loads(r.content, parse_constant=refuse)
         for doc in (stored, served):
             columns = {c["name"]: c for c in doc["sensors"][0]["columns"]}
             assert columns["BIG"]["derived"] == "scientific"
             assert columns["MIXED"]["derived"] == "varchar"
-            assert columns["BIG"]["properties"] is None
-            assert columns["MIXED"]["properties"] is None
+            for name in ("BIG", "MIXED", "WIDE"):
+                assert columns[name]["properties"] is None
             assert columns["OK"]["properties"]["mean"] == 2.5
 
     def test_deterministic_bytes(self, live_server):
