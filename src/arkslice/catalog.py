@@ -6,13 +6,18 @@ up, searched and resolved through this single catalog. State persists as
 one JSON document per dataset under ``<state_dir>/catalog/`` plus an
 append-only change-event log at ``<state_dir>/events.log``. Column types
 and statistics are computed once, when a dataset is registered, and stored
-in that document; a restart or crawl reads them back and only parses CSV.
-A column whose nonempty fields are all plain numbers is typed from its
-field bytes (``type_registry.plain_numbers``); any other is decoded to
-cells and typed from those. Both give ``compute_properties`` the same
-values, so the document does not depend on the path taken. A column whose
-statistics are not all finite gets none (``null``), as JSON has no NaN or
-Infinity.
+in that document with the SHA-256 of each sensor file's bytes; a restart
+reads them back and only parses CSV. Types are computed once per file
+version, not once per register: re-registering a dataset keeps the stored
+schema of each file whose hash is unchanged, and the table of each file
+whose bytes equal the ones already loaded, so a crawl parses and types
+only the files that changed. A column whose nonempty fields are all plain
+numbers is typed from its field bytes (``type_registry.plain_numbers``);
+any other is decoded to cells and typed from those. Both give
+``compute_properties`` the same values, so the document does not depend
+on the path taken. A column whose statistics are not all finite gets none
+(``null``), as JSON has no NaN or Infinity; restore applies the same rule
+to documents written before it.
 """
 
 from __future__ import annotations
@@ -51,8 +56,10 @@ def _now() -> str:
 
 
 def json_bytes(obj) -> bytes:
-    """Sorted-key JSON indented by 2, UTF-8, newline-ended: documents, replies."""
-    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    """Sorted-key JSON indented by 2, UTF-8, newline-ended: documents, replies.
+    A NaN or Infinity, which is not JSON, raises ``ValueError``."""
+    return (json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+            + "\n").encode("utf-8")
 
 
 def replace_file(path: Path, data: bytes) -> None:
@@ -113,6 +120,9 @@ class CatalogEntry:
     content_hash: str
     registered_at: str
     updated_at: str
+    # SHA-256 of each sensor file's bytes, by file name; {} in a document
+    # written before it was recorded, which then reuses nothing.
+    file_hashes: dict[str, str] = field(default_factory=dict)
 
     def summary(self) -> dict:
         return {
@@ -134,10 +144,12 @@ class CatalogEntry:
 
     @classmethod
     def from_document(cls, doc: dict) -> "CatalogEntry":
-        """The entry whose ``document()`` is ``doc``."""
+        """The entry whose ``document()`` is ``doc``; a field the document
+        lacks takes its default."""
         flat = {**doc, **{_DOMAIN + key: value for key, value in doc["domain"].items()}}
         metadata = DatasetMetadata(**{name: flat[name] for name in _METADATA_FIELDS})
-        return cls(metadata=metadata, **{name: flat[name] for name in _ENTRY_FIELDS})
+        return cls(metadata=metadata,
+                   **{name: flat[name] for name in _ENTRY_FIELDS if name in flat})
 
 
 # The document's keys, read off the two dataclasses.
@@ -198,15 +210,18 @@ def _column_schema(table: SensorTable, name: str) -> dict:
 
 
 def _properties(values) -> Optional[dict]:
-    """The statistics of a column's numeric values; None when it has none,
-    or when a statistic is not finite, as JSON has no NaN or Infinity: a
-    value too large for a double (``1e400``), or moments that overflow
-    one (``1e200``), makes them so."""
+    """The statistics of a column's numeric values; None when it has none."""
     if not len(values):
         return None
-    with np.errstate(over="ignore", invalid="ignore"):  # handled below
-        stats = type_registry.compute_properties(values).as_dict()
-    floats = [v for v in stats.values() if isinstance(v, float)]
+    with np.errstate(over="ignore", invalid="ignore"):  # handled by _finite
+        return _finite(type_registry.compute_properties(values).as_dict())
+
+
+def _finite(stats: Optional[dict]) -> Optional[dict]:
+    """``stats``, or None when one of them is not finite, as JSON has no
+    NaN or Infinity: a value too large for a double (``1e400``), or
+    moments that overflow one (``1e200``), makes them so."""
+    floats = [v for v in (stats or {}).values() if isinstance(v, float)]
     return stats if np.isfinite(floats).all() else None
 
 
@@ -214,6 +229,14 @@ def _sensor_schema(table: SensorTable, file_name: str) -> dict:
     columns = [_key_schema(table.key_column_name, table.index)]
     columns += [_column_schema(table, name) for name in table.names]
     return {"name": table.sensor_name, "file": file_name, "columns": columns}
+
+
+class _Hashers(tuple):
+    """Hashers fed the same bytes, passed as one ``hasher``."""
+
+    def update(self, data: bytes) -> None:
+        for hasher in self:
+            hasher.update(data)
 
 
 class Catalog:
@@ -242,6 +265,8 @@ class Catalog:
         records = {}
         for path in sorted(self.entries_dir.glob("*.json")):
             doc = json.loads(path.read_text(encoding="utf-8"))
+            for column in (c for s in doc["sensors"] for c in s["columns"]):
+                column["properties"] = _finite(column["properties"])
             entry = CatalogEntry.from_document(doc)
             try:
                 tables = self._load_tables(entry)
@@ -300,8 +325,10 @@ class Catalog:
         sensor_files: Optional[list[str]] = None,
         data_dir=None,
     ) -> CatalogEntry:
-        """Load, type, hash and index one dataset from a source; the hash
-        is over the bytes that were loaded.
+        """Load, type, hash and index one dataset from a source; the hashes
+        are over the bytes that were loaded. A file whose hash is the one
+        stored keeps its stored schema, and one whose bytes are those of
+        the table already loaded keeps that table.
 
         Local sources read the ``*.csv`` files in ``data_dir`` (default
         ``<root>/<dataset>/``); remote sources fetch ``sensor_files`` into
@@ -329,8 +356,17 @@ class Catalog:
                     f"remote sources are read from the cache, not {data_dir}")
             files = self._csv_files(Path(data_dir))
 
+            # What a file whose bytes did not change keeps: its stored schema,
+            # found by file name and hash, and its loaded table.
+            kept_schemas, kept_tables = {}, {}
+            if existing is not None:
+                old = existing.entry
+                kept_schemas = {(s["file"], old.file_hashes.get(s["file"])): s
+                                for s in old.sensors}
+                kept_tables = existing.tables.sensors if existing.tables else {}
             tables = {}
             sensors = []
+            file_hashes = {}
             # Hashed from the bytes each load read; files come in file-name
             # order, as content_hash takes them.
             digest = hashlib.sha256()
@@ -339,9 +375,13 @@ class Catalog:
                 if not NAME_RE.fullmatch(name):
                     raise LoadError(
                         f"sensor file name {path.name!r} is not a valid name")
-                table = timeseries_store.load_sensor_csv(path, name, digest)
+                file_digest = hashlib.sha256()
+                table = timeseries_store.load_sensor_csv(
+                    path, name, _Hashers((digest, file_digest)), kept_tables.get(name))
                 tables[name] = table
-                sensors.append(_sensor_schema(table, path.name))
+                file_hashes[path.name] = file_digest.hexdigest()
+                sensors.append(kept_schemas.get((path.name, file_hashes[path.name]))
+                               or _sensor_schema(table, path.name))
 
             now = _now()
             entry = CatalogEntry(
@@ -353,6 +393,7 @@ class Catalog:
                 content_hash=digest.hexdigest(),
                 registered_at=existing.entry.registered_at if existing else now,
                 updated_at=now,
+                file_hashes=file_hashes,
             )
             self._write_entry(entry)
             record = CatalogRecord(entry, Dataset(name=dataset_name, sensors=tables))

@@ -204,13 +204,16 @@ class ResultSlice:
         return tuple(zip(self.timestamps.tolist(), zip(*columns)))
 
 
-def load_sensor_csv(path, sensor_name: str, hasher=None) -> SensorTable:
+def load_sensor_csv(path, sensor_name: str, hasher=None,
+                    previous: Optional[SensorTable] = None) -> SensorTable:
     """Load one comma-separated sensor file into a SensorTable.
 
     The first line is the header; the first column is the integer
     timestamp key regardless of its header name. Cell text is preserved
     verbatim (fields are split on ',' with no quoting). The file is read
     once; ``hasher.update``, if given, gets exactly the bytes loaded.
+    ``previous``, an earlier table of this sensor, is returned as it is,
+    unparsed, when the bytes read equal its ``data``: they parse to it.
     """
     try:
         with open(path, "rb") as fh:
@@ -219,6 +222,8 @@ def load_sensor_csv(path, sensor_name: str, hasher=None) -> SensorTable:
         raise IoError(f"cannot read {path}: {exc}") from exc
     if hasher is not None:
         hasher.update(data)
+    if previous is not None and previous.data == data:
+        return previous
     return SensorTable.from_bytes(sensor_name, data, path)
 
 

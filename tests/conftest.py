@@ -1,10 +1,13 @@
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from arkslice import catalog
 from arkslice.catalog import DatasetMetadata
 from arkslice.http_service import App, DataSource, ServiceConfig, start_background
+from arkslice.timeseries_store import SensorTable
 
 NAAN = "57460"
 DATASET = "AMPds-mini"
@@ -96,3 +99,25 @@ def live_server(app):
     yield app, app.config.base_url
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """What the catalog does from now on: ``parsed`` lists the sensor of
+    each file parsed (``SensorTable.from_bytes``), ``typed`` the
+    ``(sensor, measurement)`` of each column typed (``_column_schema``)."""
+    done = SimpleNamespace(parsed=[], typed=[])
+    from_bytes = SensorTable.from_bytes.__func__
+    column_schema = catalog._column_schema
+
+    def parse(cls, sensor_name, *args):
+        done.parsed.append(sensor_name)
+        return from_bytes(cls, sensor_name, *args)
+
+    def type_column(table, name):
+        done.typed.append((table.sensor_name, name))
+        return column_schema(table, name)
+
+    monkeypatch.setattr(SensorTable, "from_bytes", classmethod(parse))
+    monkeypatch.setattr(catalog, "_column_schema", type_column)
+    return done

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import http.server
 import importlib.util
 import json
@@ -138,6 +139,16 @@ class TestRegister:
         )
         assert entry.content_hash == before
 
+    def test_reregister_unchanged_bytes_parses_and_types_nothing(self, app, work):
+        source = app.source("local")
+        app.catalog.register_dataset(source, DATASET, metadata=FIXTURE_METADATA)
+        assert work.parsed == work.typed == []
+        restarted = Catalog(app.catalog.state_dir, [source])
+        assert work.parsed == ["DWE", "HPE", "WOE"]  # a restore parses, never types
+        restarted.register_dataset(source, DATASET, metadata=FIXTURE_METADATA)
+        assert work.parsed == ["DWE", "HPE", "WOE"]
+        assert work.typed == []
+
     def test_entry_persisted_as_json(self, app):
         path = app.catalog.entries_dir / f"{DATASET}.json"
         doc = json.loads(path.read_text())
@@ -236,6 +247,22 @@ class TestCrawl:
         assert 25610 in app.catalog.dataset(DATASET).sensor("DWE").key
         # Idempotence: second crawl is a fixed point.
         assert app.catalog.crawl() == []
+
+    def test_crawl_parses_and_types_only_the_changed_file(
+            self, app, data_dir, tmp_path, work):
+        path = data_dir / "DWE.csv"
+        path.write_text(path.read_text() + "25610,120.000,1.000\n")
+        assert [e.kind for e in app.catalog.crawl()] == ["modified"]
+        assert work.parsed == ["DWE"]
+        assert work.typed == [("DWE", "V"), ("DWE", "I")]
+        entry = app.catalog.lookup(DATASET)
+        assert entry.file_hashes == {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in data_dir.glob("*.csv")}
+        # The kept schemas are the bytes a fresh register writes.
+        source = DataSource("fresh", str(tmp_path / "data"))
+        fresh = Catalog(tmp_path / "fresh", [source]).register_dataset(source, DATASET)
+        assert json_bytes(entry.sensors) == json_bytes(fresh.sensors)
 
     def test_single_byte_change_changes_hash(self, app, data_dir):
         old_hash = app.catalog.lookup(DATASET).content_hash

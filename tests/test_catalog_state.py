@@ -3,6 +3,7 @@ from the directory it was registered from, reading a remote source once."""
 
 import collections
 import functools
+import hashlib
 import http.client
 import http.server
 import json
@@ -13,10 +14,11 @@ from pathlib import Path
 import pytest
 
 import oracle
-from arkslice.catalog import Catalog, DataSource
+from arkslice.catalog import Catalog, DataSource, json_bytes
 from arkslice.errors import LoadError, NotFound
+from arkslice.http_service import App
 from arkslice.timeseries_store import render_csv
-from conftest import DATASET, FIXTURE_METADATA, NAAN, write_fixture
+from conftest import DATASET, FIXTURE_METADATA, NAAN, SENSORS, write_fixture
 
 
 def resolve_text(app, body: str) -> bytes:
@@ -49,6 +51,31 @@ def test_crawl_refreshes_from_the_registered_directory(app, tmp_path, default_di
         assert resolve_text(app, body) == oracle.resolve_csv(
             mine, f"ark:/{NAAN}/{body}").encode("utf-8")
     assert resolve_text(app, f"{DATASET}.DWE.V@25611") == b"timestamp,V\n25611,1.0\n"
+
+
+def test_document_without_file_hashes_types_everything_once(app, data_dir, work):
+    # A document as written before file hashes were recorded.
+    path = app.catalog.entries_dir / f"{DATASET}.json"
+    doc = json.loads(path.read_bytes())
+    del doc["file_hashes"]
+    path.write_bytes(json_bytes(doc))
+
+    restarted = App(app.config)
+    assert restarted.catalog.lookup(DATASET).file_hashes == {}
+    for sensor in SENSORS:
+        body = f"{DATASET}.{sensor}.V+I@*"
+        assert resolve_text(restarted, body) == oracle.resolve_csv(
+            data_dir, f"ark:/{NAAN}/{body}").encode("utf-8")
+    assert restarted.catalog.crawl() == []
+    assert work.typed == []
+
+    dwe = data_dir / "DWE.csv"
+    dwe.write_text(dwe.read_text() + "25610,120.000,1.000\n")
+    assert [e.kind for e in restarted.catalog.crawl()] == ["modified"]
+    assert sorted(work.typed) == sorted((s, m) for s in SENSORS for m in ("V", "I"))
+    assert restarted.catalog.lookup(DATASET).file_hashes == {
+        f"{s}.csv": hashlib.sha256((data_dir / f"{s}.csv").read_bytes()).hexdigest()
+        for s in SENSORS}
 
 
 @pytest.fixture

@@ -4,7 +4,9 @@ Rules change dataset directories under one local source, crawl, restart
 (a new ``App`` on the same state directory) and mint. After every crawl
 the catalog must hold exactly the model's datasets, resolve each one as
 the oracle does over the model's bytes, and store the hash every event
-reported; no NOID is ever issued twice.
+reported, each file's hash, and the schema a fresh register of the model's
+bytes gives, whether it typed the file or kept its stored schema; no NOID
+is ever issued twice.
 """
 
 import hashlib
@@ -22,9 +24,9 @@ from hypothesis.stateful import (
 )
 
 import oracle
-from arkslice.catalog import DataSource
+from arkslice.catalog import DataSource, _sensor_schema, json_bytes
 from arkslice.http_service import App, ServiceConfig
-from arkslice.timeseries_store import render_csv
+from arkslice.timeseries_store import SensorTable, render_csv
 from conftest import NAAN
 
 DATASETS = ("Alpha-ds", "Beta-ds", "Gamma-ds")
@@ -130,7 +132,13 @@ class CatalogMachine(RuleBasedStateMachine):
             h = hashlib.sha256()
             for f in sorted(files):
                 h.update(files[f])
-            assert catalog.lookup(name).content_hash == h.hexdigest()
+            entry = catalog.lookup(name)
+            assert entry.content_hash == h.hexdigest()
+            assert entry.file_hashes == {
+                f: hashlib.sha256(data).hexdigest() for f, data in files.items()}
+            fresh = [_sensor_schema(SensorTable.from_bytes(Path(f).stem, files[f]), f)
+                     for f in sorted(files)]
+            assert json_bytes(entry.sensors) == json_bytes(fresh)
             for f in files:
                 pid = f"ark:/{NAAN}/{name}.{Path(f).stem}.V@*"
                 got = render_csv(self.app.resolver.resolve(

@@ -22,6 +22,11 @@ from arkslice.resolver import Minter, encode_noid
 from conftest import DATASET, NAAN, write_fixture
 
 
+def refuse(token):
+    """A ``parse_constant`` for ``json.loads`` that accepts JSON only."""
+    raise ValueError(f"{token} is not JSON")
+
+
 def state_digest(state_dir: Path) -> str:
     h = hashlib.sha256()
     for path in sorted(state_dir.rglob("*")):
@@ -98,10 +103,6 @@ class TestResolveEndpoint:
             "timestamp,BIG,MIXED,WIDE,OK\n1,1e400,1e400,1e200,1.5\n"
             "2,2,x,-1e200,2.5\n3,-1e400,,0,3.5\n", encoding="utf-8")
         app.catalog.register_dataset(app.source("local"), "Huge-ds")
-
-        def refuse(token):
-            raise ValueError(f"{token} is not JSON")
-
         stored = json.loads((app.catalog.entries_dir / "Huge-ds.json").read_bytes(),
                             parse_constant=refuse)
         r = requests.get(f"{base}/ark:/{NAAN}/Huge-ds.S.BIG+MIXED+WIDE+OK@*?info")
@@ -114,6 +115,31 @@ class TestResolveEndpoint:
             for name in ("BIG", "MIXED", "WIDE"):
                 assert columns[name]["properties"] is None
             assert columns["OK"]["properties"]["mean"] == 2.5
+
+    def test_stored_statistics_not_finite_are_null_after_restart(self, app):
+        # A document as written when JSON's NaN and Infinity tokens were
+        # allowed in it.
+        path = app.catalog.entries_dir / f"{DATASET}.json"
+        doc = json.loads(path.read_bytes())
+        dwe = next(s for s in doc["sensors"] if s["name"] == "DWE")
+        columns = {c["name"]: c for c in dwe["columns"]}
+        columns["V"]["properties"]["mean"] = float("inf")
+        columns["I"]["properties"]["stddev"] = float("nan")
+        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        assert b"Infinity" in path.read_bytes()
+
+        server, _ = start_background(http_service.App(app.config))
+        try:
+            r = requests.get(f"http://127.0.0.1:{server.server_address[1]}"
+                             f"/ark:/{NAAN}/{DATASET}.DWE.V+I@*?info")
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert r.status_code == 200
+        served = json.loads(r.content, parse_constant=refuse)
+        columns = {c["name"]: c for c in served["sensors"][0]["columns"]}
+        assert columns["V"]["properties"] is None
+        assert columns["I"]["properties"] is None
 
     def test_deterministic_bytes(self, live_server):
         _, base = live_server
