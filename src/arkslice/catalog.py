@@ -4,20 +4,17 @@ Datasets live in independent sources (local directories, or HTTP roots
 following the ``<root>/<dataset>/<sensor>.csv`` convention) but are looked
 up, searched and resolved through this single catalog. State persists as
 one JSON document per dataset under ``<state_dir>/catalog/`` plus an
-append-only change-event log at ``<state_dir>/events.log``. Column types
-and statistics are computed once, when a dataset is registered, and stored
-in that document with the SHA-256 of each sensor file's bytes; a restart
-reads them back and only parses CSV. Types are computed once per file
-version, not once per register: re-registering a dataset keeps the stored
-schema of each file whose hash is unchanged, and the table of each file
-whose bytes equal the ones already loaded, so a crawl parses and types
-only the files that changed. A column whose nonempty fields are all plain
-numbers is typed from its field bytes (``type_registry.plain_numbers``);
-any other is decoded to cells and typed from those. Both give
-``compute_properties`` the same values, so the document does not depend
-on the path taken. A column whose statistics are not all finite gets none
-(``null``), as JSON has no NaN or Infinity; restore applies the same rule
-to documents written before it.
+append-only change-event log at ``<state_dir>/events.log``.
+
+A register or a crawl reads (or fetches) each sensor file once and takes
+its table and hashes from those bytes; ``content_hash`` is the one rule for
+a dataset's hash. Column types and statistics are computed at register and
+stored in the document beside each file's SHA-256, so a restart only parses
+CSV. A re-register keeps the stored schema of each file whose hash is
+unchanged and the loaded table of each file whose bytes equal its ``data``,
+so a crawl parses and types only the files that changed. A column whose
+statistics are not all finite gets none (``null``), as JSON has no NaN or
+Infinity; restore applies the same rule to documents written before it.
 """
 
 from __future__ import annotations
@@ -175,12 +172,24 @@ class CatalogRecord(NamedTuple):  # a dataset's entry and tables, from one state
     tables: Optional[Dataset]  # None when the files were gone at restore
 
 
-def content_hash(csv_paths: list[Path]) -> str:
-    """SHA-256 over file bytes, lexicographic filename order."""
+def content_hash(files: dict[str, bytes]) -> str:
+    """A dataset's hash: SHA-256 over its files' bytes, in file-name order."""
     h = hashlib.sha256()
-    for p in sorted(csv_paths, key=lambda p: p.name):
-        h.update(p.read_bytes())
+    for name in sorted(files):
+        h.update(files[name])
     return h.hexdigest()
+
+
+def _url(source: DataSource, dataset: str, file_name: str) -> str:
+    return f"{source.root.rstrip('/')}/{dataset}/{file_name}"
+
+
+def _fetch(url: str) -> bytes:
+    try:
+        with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as resp:
+            return resp.read()
+    except OSError as exc:
+        raise IoError(f"fetch failed for {url}: {exc}") from exc
 
 
 def _key_schema(name: str, index) -> dict:
@@ -231,14 +240,6 @@ def _sensor_schema(table: SensorTable, file_name: str) -> dict:
     return {"name": table.sensor_name, "file": file_name, "columns": columns}
 
 
-class _Hashers(tuple):
-    """Hashers fed the same bytes, passed as one ``hasher``."""
-
-    def update(self, data: bytes) -> None:
-        for hasher in self:
-            hasher.update(data)
-
-
 class Catalog:
     """Single-writer, multi-reader registry over all configured sources."""
 
@@ -271,7 +272,7 @@ class Catalog:
             try:
                 tables = self._load_tables(entry)
             except ArksliceError:
-                # Files gone since last run; next crawl emits `removed`.
+                # Files gone or unreadable; the next crawl reloads or removes them.
                 tables = None
             records[entry.dataset] = CatalogRecord(entry, tables)
         self._records = records
@@ -295,25 +296,28 @@ class Catalog:
             )
         return Dataset(name=entry.dataset, sensors=sensors)
 
-    def _fetch_remote(
-        self, source: DataSource, dataset: str, sensor_files: list[str]
-    ) -> Path:
-        fetched = {}
-        for fname in sensor_files:
-            url = f"{source.root.rstrip('/')}/{dataset}/{fname}"
-            try:
-                with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as resp:
-                    fetched[fname] = resp.read()
-            except OSError as exc:
-                raise IoError(f"fetch failed for {url}: {exc}") from exc
-            SensorTable.from_bytes(Path(fname).stem, fetched[fname], url)
-        # Write only once every file arrived and parsed, so a failed fetch or
-        # a bad file leaves the cached copy as it was.
-        dest = self.cache_dir / source.id / dataset
-        dest.mkdir(parents=True, exist_ok=True)
-        for fname, data in fetched.items():
-            replace_file(dest / fname, data)
-        return dest
+    def _read_source(self, source: DataSource, dataset: str, data_dir,
+                     sensor_files: Optional[list[str]],
+                     tables: dict[str, SensorTable]) -> tuple[Path, dict[str, bytes]]:
+        """Where a dataset's files live, and each one's bytes by file name:
+        a remote source's ``sensor_files`` fetched (they live in the cache),
+        a local source's ``*.csv`` files read from ``data_dir``. A file equal
+        to its loaded table in ``tables`` is held as that table's ``data``."""
+        if source.kind == "remote_http":
+            if not sensor_files:
+                raise LoadError("remote sources need an explicit sensor file list")
+            data_dir = self.cache_dir / source.id / dataset
+            read = ((f, _fetch(_url(source, dataset, f))) for f in sensor_files)
+        else:
+            data_dir = Path(source.root, dataset) if data_dir is None else data_dir
+            read = ((p.name, timeseries_store.read_sensor_file(p))
+                    for p in self._csv_files(Path(data_dir)))
+        files = {}
+        for fname, data in read:
+            kept = tables.get(Path(fname).stem)
+            files[fname] = kept.data if kept and kept.data == data else data
+            del data  # so an unchanged file's copy is gone before the next read
+        return Path(data_dir), files
 
     # --- operations ---
 
@@ -324,16 +328,17 @@ class Catalog:
         metadata: Optional[DatasetMetadata] = None,
         sensor_files: Optional[list[str]] = None,
         data_dir=None,
+        files: Optional[dict[str, bytes]] = None,
     ) -> CatalogEntry:
-        """Load, type, hash and index one dataset from a source; the hashes
-        are over the bytes that were loaded. A file whose hash is the one
-        stored keeps its stored schema, and one whose bytes are those of
-        the table already loaded keeps that table.
-
-        Local sources read the ``*.csv`` files in ``data_dir`` (default
-        ``<root>/<dataset>/``); remote sources fetch ``sensor_files`` into
-        the cache, the only ``data_dir`` they accept (no listing over HTTP).
-        Re-registering from the same source refreshes it; another conflicts.
+        """Parse, type, hash and index one dataset from a source, all from
+        one read or fetch of each file. A file whose hash is the one stored
+        keeps its stored schema, and one whose bytes equal the loaded table's
+        keeps that table. Local sources read the ``*.csv`` files in
+        ``data_dir`` (default ``<root>/<dataset>/``). Remote sources take no
+        ``data_dir``: they fetch ``sensor_files`` (no listing over HTTP) and
+        cache them once every file parsed. A crawl passes the bytes it read
+        as ``files``. Re-registering from the same source refreshes it;
+        another conflicts.
         """
         with self._write_lock:
             existing = self._records.get(dataset_name)
@@ -344,18 +349,6 @@ class Catalog:
                 )
             metadata = metadata or DatasetMetadata()
             remote = source.kind == "remote_http"
-            if remote and data_dir is None:
-                if not sensor_files:
-                    raise LoadError(
-                        "remote sources need an explicit sensor file list")
-                data_dir = self._fetch_remote(source, dataset_name, sensor_files)
-            elif data_dir is None:
-                data_dir = Path(source.root) / dataset_name
-            elif remote and Path(data_dir) != self.cache_dir / source.id / dataset_name:
-                raise LoadError(  # a crawl fetches over a remote dataset's data_dir
-                    f"remote sources are read from the cache, not {data_dir}")
-            files = self._csv_files(Path(data_dir))
-
             # What a file whose bytes did not change keeps: its stored schema,
             # found by file name and hash, and its loaded table.
             kept_schemas, kept_tables = {}, {}
@@ -364,33 +357,41 @@ class Catalog:
                 kept_schemas = {(s["file"], old.file_hashes.get(s["file"])): s
                                 for s in old.sensors}
                 kept_tables = existing.tables.sensors if existing.tables else {}
+            if files is None:
+                if remote and data_dir is not None:
+                    raise LoadError(
+                        f"remote sources are fetched, not read from {data_dir}")
+                data_dir, files = self._read_source(
+                    source, dataset_name, data_dir, sensor_files, kept_tables)
             tables = {}
             sensors = []
             file_hashes = {}
-            # Hashed from the bytes each load read; files come in file-name
-            # order, as content_hash takes them.
-            digest = hashlib.sha256()
-            for path in files:
-                name = path.stem
+            for fname, data in sorted(files.items()):
+                name = Path(fname).stem
                 if not NAME_RE.fullmatch(name):
-                    raise LoadError(
-                        f"sensor file name {path.name!r} is not a valid name")
-                file_digest = hashlib.sha256()
-                table = timeseries_store.load_sensor_csv(
-                    path, name, _Hashers((digest, file_digest)), kept_tables.get(name))
+                    raise LoadError(f"sensor file name {fname!r} is not a valid name")
+                table = kept_tables.get(name)
+                if table is None or table.data != data:
+                    origin = _url(source, dataset_name, fname) if remote \
+                        else data_dir / fname
+                    table = SensorTable.from_bytes(name, data, origin)
                 tables[name] = table
-                file_hashes[path.name] = file_digest.hexdigest()
-                sensors.append(kept_schemas.get((path.name, file_hashes[path.name]))
-                               or _sensor_schema(table, path.name))
+                file_hashes[fname] = hashlib.sha256(data).hexdigest()
+                sensors.append(kept_schemas.get((fname, file_hashes[fname]))
+                               or _sensor_schema(table, fname))
+            if remote:  # every file parsed, so a bad one never reaches the cache
+                data_dir.mkdir(parents=True, exist_ok=True)
+                for fname, data in files.items():
+                    replace_file(data_dir / fname, data)
 
             now = _now()
             entry = CatalogEntry(
                 dataset=dataset_name,
                 source_id=source.id,
-                data_dir=str(Path(data_dir)),
+                data_dir=str(data_dir),
                 sensors=sensors,
                 metadata=metadata,
-                content_hash=digest.hexdigest(),
+                content_hash=content_hash(files),
                 registered_at=existing.entry.registered_at if existing else now,
                 updated_at=now,
                 file_hashes=file_hashes,
@@ -437,9 +438,10 @@ class Catalog:
     def crawl(self) -> list[ChangeEvent]:
         """Re-scan every source: detect added, modified and removed datasets.
 
-        Modified datasets are reloaded (tables, types, properties); removed
-        ones become unresolvable; new dataset directories under a local
-        source root are auto-registered with empty descriptive metadata.
+        Each file is read or fetched once. A modified dataset, or one whose
+        files did not load at restart, is registered again from those bytes;
+        removed ones become unresolvable; new dataset directories under a
+        local source root are auto-registered with empty descriptive metadata.
         Every event is appended to the persistent event log. Per-source
         failures, a remote source that cannot be reached among them, become
         ``source_error`` events instead of aborting; the entry is kept.
@@ -447,23 +449,24 @@ class Catalog:
         with self._write_lock:
             events: list[ChangeEvent] = []
 
-            for name, (entry, _) in sorted(self._records.items()):
+            for name, (entry, tables) in sorted(self._records.items()):
                 # A source gone from the config still owns its datasets.
                 source = self.sources.get(entry.source_id) or DataSource(
                     entry.source_id, entry.data_dir)
-                data_dir = Path(entry.data_dir)
                 try:
-                    if source.kind == "remote_http":
-                        data_dir = self._fetch_remote(
-                            source, name, [s["file"] for s in entry.sensors])
                     try:
-                        files = self._csv_files(data_dir)
+                        data_dir, files = self._read_source(
+                            source, name, entry.data_dir,
+                            [s["file"] for s in entry.sensors],
+                            tables.sensors if tables else {})
                     except LoadError:
                         self._remove(entry, events)
                         continue
-                    if content_hash(files) != entry.content_hash:
-                        new = self.register_dataset(
-                            source, name, entry.metadata, data_dir=data_dir)
+                    if tables is not None and content_hash(files) == entry.content_hash:
+                        continue
+                    new = self.register_dataset(
+                        source, name, entry.metadata, data_dir=data_dir, files=files)
+                    if new.content_hash != entry.content_hash:
                         events.append(
                             ChangeEvent(
                                 "modified", name, entry.source_id, _now(),

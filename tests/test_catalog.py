@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import http.server
@@ -264,6 +265,23 @@ class TestCrawl:
         fresh = Catalog(tmp_path / "fresh", [source]).register_dataset(source, DATASET)
         assert json_bytes(entry.sensors) == json_bytes(fresh.sensors)
 
+    def test_crawl_reads_each_sensor_file_once(self, app, data_dir, monkeypatch):
+        reads = collections.Counter()
+        read = timeseries_store.read_sensor_file
+
+        def counting(path):
+            reads[Path(path).name] += 1
+            return read(path)
+
+        monkeypatch.setattr(timeseries_store, "read_sensor_file", counting)
+        path = data_dir / "DWE.csv"
+        path.write_text(path.read_text() + "25610,120.000,1.000\n")
+        assert [e.kind for e in app.catalog.crawl()] == ["modified"]
+        assert reads == {"DWE.csv": 1, "HPE.csv": 1, "WOE.csv": 1}
+        reads.clear()
+        assert app.catalog.crawl() == []
+        assert reads == {"DWE.csv": 1, "HPE.csv": 1, "WOE.csv": 1}
+
     def test_single_byte_change_changes_hash(self, app, data_dir):
         old_hash = app.catalog.lookup(DATASET).content_hash
         path = data_dir / "WOE.csv"
@@ -453,15 +471,13 @@ class TestRemoteSource:
             cat.register_dataset(source, "AMPds-remote")
 
 
-def test_content_hash_order_and_stability(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    a.write_text("ts,V\n1,2\n")
-    b.write_text("ts,V\n3,4\n")
-    h1 = content_hash([a, b])
-    assert content_hash([b, a]) == h1  # lexicographic order, not call order
-    b.write_text("ts,V\n3,5\n")
-    assert content_hash([a, b]) != h1
+def test_content_hash_order_and_stability():
+    a, b = b"ts,V\n1,2\n", b"ts,V\n3,4\n"
+    h1 = content_hash({"a.csv": a, "b.csv": b})
+    assert h1 == hashlib.sha256(a + b).hexdigest()
+    # Lexicographic file-name order, not call order.
+    assert content_hash({"b.csv": b, "a.csv": a}) == h1
+    assert content_hash({"a.csv": a, "b.csv": b"ts,V\n3,5\n"}) != h1
 
 
 def test_federated_lookup_across_sources(tmp_path):
@@ -505,20 +521,30 @@ def test_register_hashes_the_bytes_it_loaded(tmp_path, monkeypatch):
     cat, root, _ = one_sensor_catalog(tmp_path, {"D": b"ts,V\n1,a\n2,b\n"})
     path = root / "D" / "X.csv"
     path.write_bytes(b"ts,V\n1,a\n2,B\n")
-    load = timeseries_store.load_sensor_csv
+    read = timeseries_store.read_sensor_file
 
-    def load_then_append(*args, **kwargs):
-        table = load(*args, **kwargs)
+    def read_then_append(*args, **kwargs):
+        data = read(*args, **kwargs)
         with open(path, "ab") as fh:
             fh.write(b"3,c\n")
-        return table
+        return data
 
-    monkeypatch.setattr(timeseries_store, "load_sensor_csv", load_then_append)
+    monkeypatch.setattr(timeseries_store, "read_sensor_file", read_then_append)
     assert [e.kind for e in cat.crawl()] == ["modified"]
-    monkeypatch.setattr(timeseries_store, "load_sensor_csv", load)
+    monkeypatch.setattr(timeseries_store, "read_sensor_file", read)
     assert [e.kind for e in cat.crawl()] == ["modified"]
     assert slice_of(cat, "D", "3") == b"timestamp,V\n3,c\n"
-    assert cat.lookup("D").content_hash == content_hash([path])
+    assert cat.lookup("D").content_hash == content_hash({"X.csv": path.read_bytes()})
+
+
+def test_crlf_file_is_hashed_over_its_raw_bytes(tmp_path):
+    raw = b"ts,V\r\n2,a\r\n1,b"  # CRLF, out of key order, no final newline
+    cat, _, _ = one_sensor_catalog(tmp_path, {"D": raw})
+    entry = cat.lookup("D")
+    assert entry.file_hashes == {"X.csv": hashlib.sha256(raw).hexdigest()}
+    assert entry.content_hash == hashlib.sha256(raw).hexdigest()
+    assert slice_of(cat, "D") == b"timestamp,V\n1,b\n2,a\n"
+    assert cat.crawl() == []
 
 
 NOT_UTF8 = b"ts,V\n1,a\n2,\xff\n"  # the bad byte is at offset 11
@@ -547,3 +573,41 @@ def test_restart_serves_a_dataset_that_is_not_utf8_as_not_found(tmp_path):
     assert err.value.http_status == 404
     assert restarted.lookup("A").dataset == "A"
     assert slice_of(restarted, "B") == b"timestamp,V\n1,a\n"
+
+
+def test_crawl_records_a_file_that_vanishes_and_goes_on(tmp_path):
+    """A file renamed away between the listing and its read is a
+    ``source_error`` naming it; the crawl still logs every other change."""
+    cat, root, _ = one_sensor_catalog(
+        tmp_path, {"A": b"ts,V\n1,a\n", "B": b"ts,V\n1,a\n"})
+    (root / "A" / "X.csv").write_bytes(b"ts,V\n1,a\n2,b\n")
+    csv_files = cat._csv_files
+
+    def list_then_rename(data_dir):
+        files = csv_files(data_dir)
+        if data_dir.name == "B":
+            (data_dir / "X.csv").rename(data_dir / "X.csv.gone")
+        return files
+
+    cat._csv_files = list_then_rename
+    events = {e.dataset: e for e in cat.crawl()}
+    assert {name: e.kind for name, e in events.items()} == {
+        "A": "modified", "B": "source_error"}
+    assert str(root / "B" / "X.csv") in events["B"].error
+    logged = [json.loads(line) for line in cat.events_log.read_text().splitlines()]
+    assert [(r["dataset"], r["kind"]) for r in logged] == [
+        ("A", "modified"), ("B", "source_error")]
+    assert slice_of(cat, "A") == b"timestamp,V\n1,a\n2,b\n"
+    assert slice_of(cat, "B") == b"timestamp,V\n1,a\n"  # the last good bytes
+
+
+def test_crawl_reloads_a_dataset_missing_at_restart(tmp_path):
+    cat, root, sources = one_sensor_catalog(tmp_path, {"A": b"ts,V\n1,a\n"})
+    (root / "A").rename(root / "A-away")
+    restarted = Catalog(tmp_path / "state", sources)
+    with pytest.raises(NotFound):
+        restarted.dataset("A")
+    (root / "A-away").rename(root / "A")
+    assert restarted.crawl() == []  # the bytes did not change: no event
+    assert slice_of(restarted, "A") == b"timestamp,V\n1,a\n"
+    assert not restarted.events_log.exists()

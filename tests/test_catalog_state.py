@@ -14,10 +14,12 @@ from pathlib import Path
 import pytest
 
 import oracle
+from arkslice import catalog
 from arkslice.catalog import Catalog, DataSource, json_bytes
 from arkslice.errors import LoadError, NotFound
 from arkslice.http_service import App
-from arkslice.timeseries_store import render_csv
+from arkslice.pid_grammar import parse_pid
+from arkslice.timeseries_store import render_csv, select
 from conftest import DATASET, FIXTURE_METADATA, NAAN, SENSORS, write_fixture
 
 
@@ -101,23 +103,63 @@ def counting_file_server(tmp_path):
     server.server_close()
 
 
+REMOTE_FILES = ["HPE.csv", "DWE.csv", "WOE.csv"]
+
+
 def test_modified_remote_dataset_is_fetched_once_per_crawl(
-        tmp_path, counting_file_server):
+        tmp_path, counting_file_server, work):
     root, base, gets = counting_file_server
     source = DataSource(id="remote", root=base, kind="remote_http")
     cat = Catalog(tmp_path / "state", [source])
-    files = ["HPE.csv", "DWE.csv", "WOE.csv"]
-    cat.register_dataset(source, "AMPds-remote", sensor_files=files)
+    cat.register_dataset(source, "AMPds-remote", sensor_files=REMOTE_FILES)
 
     path = root / "AMPds-remote" / "DWE.csv"
     path.write_text(path.read_text() + "25612,1.0,2.0\n")
     gets.clear()
+    work.parsed.clear()
     events = cat.crawl()
 
     assert [e.kind for e in events] == ["modified"]
-    assert dict(gets) == {f"/AMPds-remote/{f}": 1 for f in files}
+    assert dict(gets) == {f"/AMPds-remote/{f}": 1 for f in REMOTE_FILES}
+    assert work.parsed == ["DWE"]  # once, and only the file that changed
     assert events[0].new_hash == cat.lookup("AMPds-remote").content_hash
     assert 25612 in cat.dataset("AMPds-remote").sensor("DWE").key
+    assert (cat.cache_dir / "remote" / "AMPds-remote" / "DWE.csv").read_bytes() \
+        == path.read_bytes()
+
+
+def test_unchanged_remote_dataset_is_neither_parsed_nor_cached_again(
+        tmp_path, counting_file_server, work, monkeypatch):
+    root, base, gets = counting_file_server
+    source = DataSource(id="remote", root=base, kind="remote_http")
+    cat = Catalog(tmp_path / "state", [source])
+    cat.register_dataset(source, "AMPds-remote", sensor_files=REMOTE_FILES)
+    cached = []
+    replace_file = catalog.replace_file
+
+    def recording(path, data):
+        if cat.cache_dir in path.parents:
+            cached.append(path.name)
+        replace_file(path, data)
+
+    monkeypatch.setattr(catalog, "replace_file", recording)
+    gets.clear()
+    work.parsed.clear()
+    assert cat.crawl() == []
+    assert dict(gets) == {f"/AMPds-remote/{f}": 1 for f in REMOTE_FILES}
+    assert work.parsed == cached == []
+
+    # A cache deleted while the service was down: the restart cannot load
+    # the dataset, and the next crawl fetches, parses and caches it again.
+    shutil.rmtree(cat.cache_dir)
+    restarted = Catalog(tmp_path / "state", [source])
+    with pytest.raises(NotFound):
+        restarted.dataset("AMPds-remote")
+    assert restarted.crawl() == []
+    assert sorted(cached) == sorted(REMOTE_FILES)
+    pid = f"ark:/{NAAN}/AMPds-remote.DWE.V+I@*"
+    got = render_csv(select(restarted.dataset("AMPds-remote"), parse_pid(pid)))
+    assert got == oracle.resolve_csv(root / "AMPds-remote", pid).encode("utf-8")
 
 
 def test_remote_source_refuses_a_directory_outside_the_cache(

@@ -1,4 +1,3 @@
-import hashlib
 import random
 import tracemalloc
 
@@ -414,11 +413,3 @@ class TestByteLoad:
         path = write_csv(tmp_path, "ts,V\r\n2,a\rb\r\n1,c\r\n")
         table = load_sensor_csv(path, "DWE")
         assert table.column("V") == ("c", "a\rb")
-
-    def test_hasher_gets_the_bytes_read(self, tmp_path):
-        raw = b"ts,V\r\n2,a\r\n1,b"
-        path = tmp_path / "DWE.csv"
-        path.write_bytes(raw)
-        seen = hashlib.sha256()
-        load_sensor_csv(path, "DWE", seen)
-        assert seen.digest() == hashlib.sha256(raw).digest()
