@@ -2,19 +2,20 @@
 
 Datasets live in independent sources (local directories, or HTTP roots
 following the ``<root>/<dataset>/<sensor>.csv`` convention) but are looked
-up, searched and resolved through this single catalog. State persists as
-one JSON document per dataset under ``<state_dir>/catalog/`` plus an
-append-only change-event log at ``<state_dir>/events.log``.
+up, searched and resolved through this single catalog, each by a name that
+is a ``NAME_RE``. State persists as one JSON document per dataset under
+``<state_dir>/catalog/`` plus an append-only change-event log at
+``<state_dir>/events.log``.
 
 A register or a crawl reads (or fetches) each sensor file once and takes
 its table and hashes from those bytes; ``content_hash`` is the one rule for
 a dataset's hash. Column types and statistics are computed at register and
 stored in the document beside each file's SHA-256, so a restart only parses
-CSV. A re-register keeps the stored schema of each file whose hash is
-unchanged and the loaded table of each file whose bytes equal its ``data``,
-so a crawl parses and types only the files that changed. A column whose
-statistics are not all finite gets none (``null``), as JSON has no NaN or
-Infinity; restore applies the same rule to documents written before it.
+CSV and a crawl parses and types only the files that changed. A crawl runs
+one step, ``Catalog._refresh``, for each registered dataset and each new
+directory alike. A column whose statistics are not all finite gets none
+(``null``), as JSON has no NaN or Infinity; restore applies the same rule
+to documents written before it.
 """
 
 from __future__ import annotations
@@ -193,8 +194,8 @@ def _fetch(url: str) -> bytes:
 
 
 def _key_schema(name: str, index) -> dict:
-    """What ``infer_column_type(..., is_key=True)`` gives for the key's
-    text, read off the sorted int keys; keys get no statistics."""
+    """The key column's type, read off its sorted int keys (timestamps from
+    ``EPOCH_THRESHOLD`` on, else integers; text if none); no statistics."""
     if not len(index):
         basic, derived = "text", "varchar"
     elif index[0] >= type_registry.EPOCH_THRESHOLD:
@@ -338,8 +339,10 @@ class Catalog:
         ``data_dir``: they fetch ``sensor_files`` (no listing over HTTP) and
         cache them once every file parsed. A crawl passes the bytes it read
         as ``files``. Re-registering from the same source refreshes it;
-        another conflicts.
+        another conflicts. A name that is not a ``NAME_RE`` is refused.
         """
+        if not NAME_RE.fullmatch(dataset_name):
+            raise LoadError(f"dataset name {dataset_name!r} is not a valid name")
         with self._write_lock:
             existing = self._records.get(dataset_name)
             if existing is not None and existing.entry.source_id != source.id:
@@ -436,89 +439,72 @@ class Catalog:
         return hits
 
     def crawl(self) -> list[ChangeEvent]:
-        """Re-scan every source: detect added, modified and removed datasets.
-
-        Each file is read or fetched once. A modified dataset, or one whose
-        files did not load at restart, is registered again from those bytes;
-        removed ones become unresolvable; new dataset directories under a
-        local source root are auto-registered with empty descriptive metadata.
-        Every event is appended to the persistent event log. Per-source
-        failures, a remote source that cannot be reached among them, become
-        ``source_error`` events instead of aborting; the entry is kept.
-        """
+        """Re-scan every source: one ``_refresh`` step for each registered
+        dataset by name, then for each new ``NAME_RE`` directory under a
+        local source's root. Every event is appended to the event log."""
         with self._write_lock:
             events: list[ChangeEvent] = []
-
-            for name, (entry, tables) in sorted(self._records.items()):
+            for name, record in sorted(self._records.items()):
                 # A source gone from the config still owns its datasets.
-                source = self.sources.get(entry.source_id) or DataSource(
-                    entry.source_id, entry.data_dir)
-                try:
-                    try:
-                        data_dir, files = self._read_source(
-                            source, name, entry.data_dir,
-                            [s["file"] for s in entry.sensors],
-                            tables.sensors if tables else {})
-                    except LoadError:
-                        self._remove(entry, events)
-                        continue
-                    if tables is not None and content_hash(files) == entry.content_hash:
-                        continue
-                    new = self.register_dataset(
-                        source, name, entry.metadata, data_dir=data_dir, files=files)
-                    if new.content_hash != entry.content_hash:
-                        events.append(
-                            ChangeEvent(
-                                "modified", name, entry.source_id, _now(),
-                                old_hash=entry.content_hash, new_hash=new.content_hash,
-                            )
-                        )
-                except ArksliceError as exc:
-                    events.append(
-                        ChangeEvent("source_error", name, entry.source_id, _now(),
-                                    error=str(exc))
-                    )
-
+                source_id, data_dir = record.entry.source_id, record.entry.data_dir
+                source = self.sources.get(source_id) or DataSource(source_id, data_dir)
+                self._refresh(source, name, record, events)
             for source in self.sources.values():
-                if source.kind != "local_directory":
-                    continue
                 root = Path(source.root)
-                if not root.is_dir():
+                if source.kind != "local_directory" or not root.is_dir():
                     continue
                 for child in sorted(root.iterdir()):
-                    if not child.is_dir() or not NAME_RE.fullmatch(child.name):
-                        continue
-                    if child.name in self._records:
-                        continue
-                    if not any(child.glob("*.csv")):
-                        continue
-                    try:
-                        entry = self.register_dataset(source, child.name)
-                    except ArksliceError as exc:
-                        events.append(
-                            ChangeEvent("source_error", child.name, source.id, _now(),
-                                        error=str(exc))
-                        )
-                        continue
-                    events.append(
-                        ChangeEvent(
-                            "added", child.name, source.id, _now(),
-                            new_hash=entry.content_hash,
-                        )
-                    )
-
+                    if NAME_RE.fullmatch(child.name) and child.name not in self._records:
+                        self._refresh(source, child.name, None, events)
             for event in events:
                 append_line(self.events_log, asdict(event))
             return events
 
-    def _remove(self, entry: CatalogEntry, events: list[ChangeEvent]) -> None:
-        self._records = {n: r for n, r in self._records.items() if n != entry.dataset}
-        path = self._entry_path(entry.dataset)
-        if path.exists():
-            path.unlink()
-        events.append(
-            ChangeEvent(
-                "removed", entry.dataset, entry.source_id, _now(),
-                old_hash=entry.content_hash,
-            )
-        )
+    def _refresh(self, source: DataSource, name: str,
+                 record: Optional[CatalogRecord], events: list[ChangeEvent]) -> None:
+        """One crawl step for a registered dataset or, when ``record`` is
+        None, a new directory under ``source``'s root; each file is read once.
+        Files that cannot be listed or found remove a dataset (a new directory
+        without them is none), but under a configured local root that is gone
+        they are a ``source_error`` naming the root. Files whose hash is the
+        stored one, with tables loaded, are left; others are registered again,
+        ``added`` or ``modified``. Any other failure is a ``source_error``. A
+        ``source_error`` keeps the entry."""
+        def emit(kind: str, **fields) -> None:
+            events.append(ChangeEvent(kind, name, source.id, _now(), **fields))
+
+        # A new directory has no stored files, hash, metadata or tables.
+        old_hash = data_dir = sensor_files = metadata = None
+        tables, loaded = {}, False
+        if record is not None:
+            entry = record.entry
+            old_hash, metadata = entry.content_hash, entry.metadata
+            data_dir, sensor_files = entry.data_dir, [s["file"] for s in entry.sensors]
+            loaded = record.tables is not None
+            tables = record.tables.sensors if loaded else {}
+        try:
+            try:
+                data_dir, files = self._read_source(
+                    source, name, data_dir, sensor_files, tables)
+            except LoadError:
+                if record is None:
+                    return
+                root = Path(os.path.abspath(source.root))
+                if (source.id in self.sources and source.kind == "local_directory"
+                        and not root.is_dir()
+                        and Path(os.path.abspath(data_dir)).is_relative_to(root)):
+                    raise LoadError(f"source root {root} is not a directory") from None
+                self._records = {n: r for n, r in self._records.items() if n != name}
+                self._entry_path(name).unlink(missing_ok=True)
+                emit("removed", old_hash=old_hash)
+                return
+            if loaded and content_hash(files) == old_hash:
+                return
+            new_hash = self.register_dataset(
+                source, name, metadata, data_dir=data_dir, files=files).content_hash
+        except ArksliceError as exc:
+            emit("source_error", error=str(exc))
+            return
+        if new_hash != old_hash:  # a new directory has no old hash
+            kind = "added" if record is None else "modified"
+            emit(kind, old_hash=old_hash, new_hash=new_hash)

@@ -163,12 +163,12 @@ def _number_kinds(values: set[str]) -> Optional[set[int]]:
     return {m.lastindex for m in matches}
 
 
-def infer_column_type(cells: Sequence[str], is_key: bool = False) -> TypeDescriptor:
+def infer_column_type(cells: Sequence[str]) -> TypeDescriptor:
     """Infer the most specific derived type shared by every nonempty cell.
 
     Precedence: boolean, integer, scientific, real, percentage, currency,
-    epoch-timestamp (key column only), hyperlink, then text/varchar as the
-    fallback. Order-insensitive: only the set of cell contents matters.
+    hyperlink, then text/varchar as the fallback. Order-insensitive: only
+    the set of cell contents matters. ``catalog._key_schema`` types keys.
     """
     values = set(cells)
     values.discard("")
@@ -180,8 +180,6 @@ def infer_column_type(cells: Sequence[str], is_key: bool = False) -> TypeDescrip
     kinds = _number_kinds(values)
     if kinds is not None:
         if kinds == {_INT}:
-            if is_key and all(int(c) >= EPOCH_THRESHOLD for c in values):
-                return TypeDescriptor("date/time", "timestamp")
             return TypeDescriptor("number", "integer")
         if _SCI in kinds:
             return TypeDescriptor("number", "scientific")

@@ -17,6 +17,7 @@ from arkslice.catalog import (
     CatalogEntry,
     DataSource,
     DatasetMetadata,
+    _key_schema,
     content_hash,
     json_bytes,
 )
@@ -48,10 +49,10 @@ def load_datagen():
 
 def cell_path_schema(table: SensorTable, file_name: str) -> dict:
     """A sensor's schema typed from decoded cells, as every column was
-    typed before all-number columns were typed from their bytes."""
-    key = infer_column_type([str(k) for k in table.key], is_key=True)
-    columns = [{"name": table.key_column_name, "basic": key.basic,
-                "derived": key.derived, "properties": None}]
+    typed before all-number columns were typed from their bytes. The key
+    keeps ``_key_schema``, which is checked against the per-cell reference
+    in ``test_type_registry``."""
+    columns = [_key_schema(table.key_column_name, table.index)]
     for name in table.names:
         cells = table.column(name)
         desc = infer_column_type(cells)
@@ -611,3 +612,85 @@ def test_crawl_reloads_a_dataset_missing_at_restart(tmp_path):
     assert restarted.crawl() == []  # the bytes did not change: no event
     assert slice_of(restarted, "A") == b"timestamp,V\n1,a\n"
     assert not restarted.events_log.exists()
+
+
+# --- names, absent roots and new directories ---
+
+@pytest.mark.parametrize("name", ["../evil", "a/b", "A\n", ""])
+def test_a_dataset_name_that_is_not_a_name_is_refused(tmp_path, name):
+    root = tmp_path / "data" / "root"
+    write_fixture(tmp_path / "data", dataset="evil")
+    source = DataSource("local", str(root))
+    cat = Catalog(tmp_path / "state", [source])
+    with pytest.raises(LoadError, match="not a valid name") as err:
+        cat.register_dataset(source, name)
+    assert err.value.exit_code == 1
+    assert sorted(p.name for p in (tmp_path / "state").rglob("*")) == ["catalog"]
+    assert Catalog(tmp_path / "state", [source]).search("") == []
+
+
+def test_a_root_that_is_gone_keeps_its_datasets(app, tmp_path):
+    root = tmp_path / "data"
+    before = app.catalog.lookup(DATASET)
+    document = app.catalog._entry_path(DATASET).read_bytes()
+    root.rename(tmp_path / "data-away")
+    events = app.catalog.crawl()
+    assert [(e.kind, e.dataset) for e in events] == [("source_error", DATASET)]
+    assert str(root) in events[0].error
+    assert app.catalog.lookup(DATASET) == before
+    assert app.catalog._entry_path(DATASET).read_bytes() == document
+    (tmp_path / "data-away").rename(root)
+    assert app.catalog.crawl() == []
+    after = app.catalog.lookup(DATASET)
+    assert (after.metadata, after.registered_at, after.content_hash) == (
+        FIXTURE_METADATA, before.registered_at, before.content_hash)
+
+
+@pytest.mark.parametrize("data_dir", ["data/A", "data/../data/A", "absolute"])
+def test_a_root_that_is_gone_is_matched_by_absolute_path(tmp_path, monkeypatch, data_dir):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data" / "A").mkdir(parents=True)
+    (tmp_path / "data" / "A" / "X.csv").write_bytes(b"ts,V\n1,a\n")
+    source = DataSource("local", "data")
+    cat = Catalog("state", [source])
+    if data_dir == "absolute":
+        data_dir = tmp_path / "data" / "A"
+    cat.register_dataset(source, "A", DatasetMetadata(core="kept"), data_dir=data_dir)
+    (tmp_path / "data").rename(tmp_path / "away")
+    assert [(e.kind, e.error) for e in cat.crawl()] == [
+        ("source_error", f"source root {tmp_path / 'data'} is not a directory")]
+    (tmp_path / "away").rename(tmp_path / "data")
+    assert cat.crawl() == []
+    assert cat.lookup("A").metadata.core == "kept"
+
+
+def test_a_ragged_new_directory_is_a_source_error_naming_the_file(app, tmp_path):
+    new = tmp_path / "data" / "Ragged-ds"
+    new.mkdir()
+    (new / "X.csv").write_bytes(b"ts,V\n1,2\n2,3,4\n")
+    events = app.catalog.crawl()
+    assert [(e.kind, e.dataset) for e in events] == [("source_error", "Ragged-ds")]
+    assert str(new / "X.csv") in events[0].error
+    assert not app.catalog._entry_path("Ragged-ds").exists()
+
+
+def test_a_new_directory_without_sensor_files_is_not_a_dataset(app, tmp_path):
+    (tmp_path / "data" / "Dirs-ds" / "x.csv").mkdir(parents=True)
+    assert app.catalog.crawl() == []
+    assert not app.catalog._entry_path("Dirs-ds").exists()
+    assert not app.catalog.events_log.exists()
+
+
+def test_a_new_dataset_is_read_once(app, tmp_path, monkeypatch):
+    reads = collections.Counter()
+    read = timeseries_store.read_sensor_file
+
+    def counting(path):
+        reads[str(Path(path).relative_to(tmp_path / "data"))] += 1
+        return read(path)
+
+    write_fixture(tmp_path / "data", dataset="AMPds-extra")
+    monkeypatch.setattr(timeseries_store, "read_sensor_file", counting)
+    assert [e.kind for e in app.catalog.crawl()] == ["added"]
+    assert reads == {f"{name}/{sensor}.csv": 1 for name in (DATASET, "AMPds-extra")
+                     for sensor in ("DWE", "HPE", "WOE")}

@@ -1,12 +1,14 @@
 """Stateful test of the catalog against a dict of file bytes.
 
 Rules change dataset directories under one local source, crawl, restart
-(a new ``App`` on the same state directory) and mint. After every crawl
-the catalog must hold exactly the model's datasets, resolve each one as
-the oracle does over the model's bytes, and store the hash every event
-reported, each file's hash, and the schema a fresh register of the model's
-bytes gives, whether it typed the file or kept its stored schema; no NOID
-is ever issued twice.
+(a new ``App`` on the same state directory), describe a dataset, move
+the source root away and back, and mint. After every crawl the catalog
+must hold exactly the model's datasets, resolve each one as the oracle
+does over the model's bytes, and store the hash every event reported,
+each file's hash, and the schema a fresh register of the model's bytes
+gives, whether it typed the file or kept its stored schema; a dataset
+keeps its metadata and ``registered_at`` while it is live, even across a
+crawl that found the root gone; no NOID is ever issued twice.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ from hypothesis.stateful import (
 )
 
 import oracle
-from arkslice.catalog import DataSource, _sensor_schema, json_bytes
+from arkslice.catalog import DataSource, DatasetMetadata, _sensor_schema, json_bytes
 from arkslice.http_service import App, ServiceConfig
 from arkslice.timeseries_store import SensorTable, render_csv
 from conftest import NAAN
@@ -44,6 +46,9 @@ class CatalogMachine(RuleBasedStateMachine):
         self.model: dict[str, dict[str, bytes]] = {}
         self.next_key = 1000
         self.noids: set[str] = set()
+        # dataset -> the metadata and registered_at its entry must keep.
+        self.metadata: dict[str, DatasetMetadata] = {}
+        self.registered_at: dict[str, str] = {}
         self.app = self._start()
 
     def _start(self) -> App:
@@ -128,12 +133,18 @@ class CatalogMachine(RuleBasedStateMachine):
                 assert catalog.lookup(event.dataset).content_hash == event.new_hash
             else:
                 assert event.kind == "removed"
+        for kept in (self.metadata, self.registered_at):
+            for name in set(kept) - set(live):
+                del kept[name]
         for name, files in live.items():
             h = hashlib.sha256()
             for f in sorted(files):
                 h.update(files[f])
             entry = catalog.lookup(name)
             assert entry.content_hash == h.hexdigest()
+            assert entry.metadata == self.metadata.get(name, DatasetMetadata())
+            assert entry.registered_at == self.registered_at.setdefault(
+                name, entry.registered_at)
             assert entry.file_hashes == {
                 f: hashlib.sha256(data).hexdigest() for f, data in files.items()}
             fresh = [_sensor_schema(SensorTable.from_bytes(Path(f).stem, files[f]), f)
@@ -144,6 +155,35 @@ class CatalogMachine(RuleBasedStateMachine):
                 got = render_csv(self.app.resolver.resolve(
                     NAAN, pid.split("/", 2)[2]).slice)
                 assert got == oracle.resolve_csv(self.root / name, pid).encode("utf-8")
+
+    @precondition(lambda self: any(self.model.values()))
+    @rule(data=st.data(), core=st.sampled_from(["meters", "weather"]))
+    def describe(self, data, core):
+        name = data.draw(st.sampled_from(
+            sorted(n for n, files in self.model.items() if files)))
+        self.metadata[name] = DatasetMetadata(core=core)
+        self.app.catalog.register_dataset(
+            self.app.source("local"), name, self.metadata[name])
+
+    @rule()
+    def root_away_and_back(self):
+        """A crawl while the root is gone changes nothing; the next one,
+        with the root back, sees every change made before it."""
+        catalog = self.app.catalog
+        before = {h["dataset"]: catalog.lookup(h["dataset"]) for h in catalog.search("")}
+        documents = {p.name: p.read_bytes() for p in catalog.entries_dir.iterdir()}
+        away = self.tmp / "data-away"
+        self.root.rename(away)
+        try:
+            events = catalog.crawl()
+        finally:
+            away.rename(self.root)
+        assert [(e.kind, e.dataset) for e in events] == [
+            ("source_error", name) for name in sorted(before)]
+        assert all(str(self.root) in e.error for e in events)
+        assert {name: catalog.lookup(name) for name in before} == before
+        assert {p.name: p.read_bytes() for p in catalog.entries_dir.iterdir()} == documents
+        self.crawl()
 
     @rule()
     def restart(self):

@@ -51,15 +51,13 @@ class TestInference:
         assert infer_column_type(["1", "", "2"]).derived == "integer"
 
     def test_epoch_key_column(self):
-        cells = ["1325376660", "1325376720"]
-        assert infer_column_type(cells, is_key=True) == TypeDescriptor(
-            "date/time", "timestamp"
-        )
+        doc = _key_schema("ts", (1325376660, 1325376720))
+        assert (doc["basic"], doc["derived"]) == ("date/time", "timestamp")
         # Same cells in a measurement column stay plain integers.
-        assert infer_column_type(cells).derived == "integer"
+        assert infer_column_type(["1325376660", "1325376720"]).derived == "integer"
 
     def test_small_key_is_integer(self):
-        assert infer_column_type(["13332", "13400"], is_key=True).derived == "integer"
+        assert _key_schema("ts", (13332, 13400))["derived"] == "integer"
 
     def test_derived_types_closed_under_mapping(self):
         # Every type the inferrer can emit must have a basic parent.
@@ -68,7 +66,10 @@ class TestInference:
                 ["1"], ["1.5"], ["1e3"], ["5%"], ["yes"], ["true"], ["on"],
                 ["$1"], ["€5"], ["¥5"], ["http://x.example/"], ["word"],
             )
-        ] + [infer_column_type(["1325376660"], is_key=True)]
+        ]
+        for keys in ((1325376660,), (13332,), ()):  # and every key type
+            doc = _key_schema("ts", keys)
+            emitted.append(TypeDescriptor(doc["basic"], doc["derived"]))
         for desc in emitted:
             assert BASIC_OF_DERIVED[desc.derived] == desc.basic
 
@@ -190,7 +191,6 @@ class TestAgainstPerCellReference:
     @settings(max_examples=400)
     def test_matches_reference(self, cells):
         assert infer_column_type(cells) == ref_infer(cells)
-        assert infer_column_type(cells, is_key=True) == ref_infer(cells, True)
         assert numeric_values(cells) == ref_numeric_values(cells)
 
     @given(st.lists(st.integers(-10**3, 3 * 10**9), unique=True, max_size=20))
