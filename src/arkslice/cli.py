@@ -128,7 +128,8 @@ def crawl(config_path):
     """Re-scan all sources and print change events."""
     app = _app(config_path)
     for e in app.catalog.crawl():
-        click.echo(f"{e.kind} {e.dataset} source={e.source_id}")
+        error = f" error={e.error}" if e.kind == "source_error" else ""
+        click.echo(f"{e.kind} {e.dataset} source={e.source_id}{error}")
 
 
 @cli.command()

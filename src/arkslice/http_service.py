@@ -16,6 +16,14 @@ connection closed after it, as before. ``Expect: 100-continue`` is
 honoured only for a mint body the server will read; any other gets a 417
 and a close. A redirect's ``Location`` is percent-encoded outside
 printable ASCII, so no request or minted target can add to the head.
+
+The request head is read by ``RequestHeaders``, not the ``email`` parser.
+A line that is not a field line, such as an obs-fold line (RFC 9112
+§5.2), gets a 400 and a close; a line over 64 KiB, or 100 field lines or
+more, gets the stdlib's 431. Only a request line of two words is
+HTTP/0.9: any other refused gets an HTTP/1.0 status line (505 for HTTP/2
+and later, 400 for a malformed version). An absolute-form target is
+served as its path.
 """
 
 from __future__ import annotations
@@ -24,7 +32,9 @@ import json
 import logging
 import re
 import threading
+import time
 from dataclasses import asdict, dataclass, field
+from http.client import HTTPException, LineTooLong
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional
@@ -114,6 +124,62 @@ def header_safe_url(url: str) -> str:
         lambda m: quote(m.group(), safe="", errors="replace"), url)
 
 
+# A version as the stdlib reads it: each number at most ten digits.
+_HTTP_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+# The scheme and host of an absolute-form target (RFC 9112 §3.2.2), or the
+# extra slashes of one that starts "//" (the stdlib's gh-87389 rule).
+_TARGET_PREFIX = re.compile(r"https?://[^/?#]*/*|//+", re.IGNORECASE)
+# A field line (RFC 9112 §5): a token, a colon and a value without CR, LF
+# or NUL. An obs-fold line, which starts with a space or tab, is not one.
+_FIELD_LINE = re.compile(r"([!#$%&'*+.^_`|~0-9A-Za-z-]+):([^\r\n\0]*)(?:\r?\n)?")
+# http.client's bounds: bytes in a header line, lines in a head counting
+# its blank line.
+MAX_HEAD_LINE, MAX_HEAD_LINES = 65536, 100
+# The reply to a head that ``RequestHeaders.read`` refuses.
+_HEAD_REFUSALS = {LineTooLong: (431, "Line too long"),
+                  HTTPException: (431, "Too many headers"),
+                  ValueError: (400, "Bad header line")}
+
+
+class RequestHeaders:
+    """The header fields of one request: ``get``, ``get_all`` and ``in`` as
+    ``http.client.HTTPMessage`` offers them, names matched without regard
+    to case and every value of a repeated name kept in order."""
+
+    def __init__(self, fields: list[tuple[str, str]]):
+        self._fields = fields  # (lower-case name, value)
+
+    @classmethod
+    def read(cls, rfile) -> "RequestHeaders":
+        """Read field lines, decoded as ISO-8859-1, up to the blank line or
+        EOF. Past a bound it raises what ``http.client.parse_headers``
+        raises (``LineTooLong``, ``HTTPException``); at a line that is not a
+        field line, ``ValueError``."""
+        fields = []
+        while True:
+            line = rfile.readline(MAX_HEAD_LINE + 1)
+            if len(line) > MAX_HEAD_LINE:
+                raise LineTooLong("header line")
+            if len(fields) == MAX_HEAD_LINES:
+                raise HTTPException(f"got more than {MAX_HEAD_LINES} headers")
+            if line in (b"\r\n", b"\n", b""):
+                return cls(fields)
+            parsed = _FIELD_LINE.fullmatch(line.decode("iso-8859-1"))
+            if parsed is None:
+                raise ValueError(f"not a field line: {line[:80]!r}")
+            fields.append((parsed[1].lower(), parsed[2].strip(" \t")))
+
+    def get_all(self, name: str, default=None):
+        name = name.lower()
+        return [value for key, value in self._fields if key == name] or default
+
+    def get(self, name: str, default=None):
+        return (self.get_all(name) or [default])[0]
+
+    def __contains__(self, name: str) -> bool:
+        return self.get_all(name) is not None
+
+
 # A mint body holds one URL or PID; a larger declared length is refused
 # before anything is read.
 MAX_BODY_BYTES = 64 * 1024
@@ -133,18 +199,64 @@ class ResolverHandler(BaseHTTPRequestHandler):
     # releases its handler thread.
     timeout = 30
 
+    _date = (0, "")  # the second last formatted for Date, and its text
+
     def log_message(self, fmt, *args):  # keep test output quiet
         pass
 
-    def send_response_only(self, code, message=None):
-        if self.request_version < "HTTP/1.1":
-            # An HTTP/1.0 client, or one whose request line did not parse,
-            # gets the reply it always got: an HTTP/1.0 status line and the
-            # connection closed after it, even when it asked for keep-alive.
-            # A handler serves one connection, so this ends with it.
-            self.protocol_version = "HTTP/1.0"
-            self.close_connection = True
-        super().send_response_only(code, message)
+    def date_time_string(self, timestamp=None):
+        """A ``Date`` is to the second, so its text is formatted once a
+        second and shared by every handler; handlers that race each format
+        their own second."""
+        second = int(time.time() if timestamp is None else timestamp)
+        cached = ResolverHandler._date
+        if cached[0] != second:
+            cached = (second, super().date_time_string(second))
+            ResolverHandler._date = cached
+        return cached[1]
+
+    def parse_request(self):
+        """Read the request line by the stdlib's rules, and the header block
+        with ``RequestHeaders.read``. Only a line of two words is HTTP/0.9;
+        any other that is refused gets an HTTP/1.0 status line: 505 for a
+        major version of 2 or more, 400 for a malformed version. An
+        absolute-form target is reduced to its path and query."""
+        self.command, self.close_connection = None, True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        self.request_version = self.protocol_version = (
+            "HTTP/0.9" if len(words) == 2 else "HTTP/1.0")
+        if len(words) >= 3:
+            version = _HTTP_VERSION.fullmatch(words[-1])
+            if version is None:
+                self.send_error(400, f"Bad request version ({words[-1]!r})")
+                return False
+            if int(version[1]) >= 2:
+                self.send_error(505, f"Invalid HTTP version ({words[-1][5:]})")
+                return False
+            if (int(version[1]), int(version[2])) >= (1, 1):
+                self.request_version = self.protocol_version = "HTTP/1.1"
+        if len(words) not in (2, 3) or len(words) == 2 and words[0] != "GET":
+            self.send_error(400, f"Bad request syntax ({self.requestline!r})")
+            return False
+        self.command, self.path = words[:2]
+        if prefix := _TARGET_PREFIX.match(self.path):
+            self.path = "/" + self.path[prefix.end():]
+        try:
+            self.headers = RequestHeaders.read(self.rfile)
+        except (HTTPException, ValueError) as exc:
+            self.send_error(*_HEAD_REFUSALS[type(exc)], str(exc))
+            return False
+        # An HTTP/1.0 request gets an HTTP/1.0 reply and the connection
+        # closed after it, even when it asks for keep-alive.
+        self.close_connection = (self.request_version != "HTTP/1.1" or
+                                 self.headers.get("Connection", "").lower() == "close")
+        if (self.request_version == "HTTP/1.1"
+                and self.headers.get("Expect", "").lower() == "100-continue"):
+            return self.handle_expect_100()
+        return True
 
     def _content_length(self) -> Optional[int]:
         """The declared body length, 0 without a ``Content-Length``. None
@@ -152,9 +264,8 @@ class ResolverHandler(BaseHTTPRequestHandler):
         (RFC 9112 §6.3): no ``+``, ``_``, sign or second header, so this
         server and any proxy before it find the same end of the body."""
         lengths = self.headers.get_all("Content-Length", ["0"])
-        value = lengths[0].strip(" \t")
-        if len(lengths) == 1 and is_decimal(value):
-            return int(value)
+        if len(lengths) == 1 and is_decimal(lengths[0]):
+            return int(lengths[0])
         return None
 
     def handle_expect_100(self):

@@ -139,6 +139,18 @@ class TestCommands:
         assert code == 0
         assert [d["dataset"] for d in json.loads(out)] == ["AMPds-extra"]
 
+    def test_crawl_prints_a_source_errors_text(self, capsys, config_path,
+                                               tmp_path):
+        ingest(capsys, config_path)
+        with open(tmp_path / "data" / DATASET / "DWE.csv", "a",
+                  encoding="utf-8") as fh:
+            fh.write("13501,1.0\n")  # one field short of the header's three
+        code, out, _ = run(capsys, "--config", config_path, "crawl")
+        assert code == 0
+        (line,) = out.splitlines()
+        assert line.startswith(f"source_error {DATASET} source=local error=")
+        assert "DWE.csv" in line
+
     def test_info(self, capsys, config_path):
         ingest(capsys, config_path)
         code, out, _ = run(capsys, "--config", config_path, "info",
